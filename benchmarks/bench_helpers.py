@@ -16,14 +16,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.pipelines import (
-    FSSJLPipeline,
-    FSSPipeline,
-    JLFSSJLPipeline,
-    JLFSSPipeline,
-    NoReductionPipeline,
-)
-from repro.core.distributed_pipelines import BKLWPipeline, JLBKLWPipeline
+from repro.core.registry import create_pipeline
 from repro.quantization.rounding import RoundingQuantizer
 
 #: Scale factor for dataset sizes (1.0 = default laptop scale).
@@ -81,15 +74,16 @@ def single_source_factories(
 
     factories: Dict[str, Callable[[int], object]] = {}
     if include_nr:
-        factories["NR"] = lambda seed: NoReductionPipeline(k=2, seed=seed, quantizer=quantizer)
-    factories["FSS"] = lambda seed: FSSPipeline(seed=seed, **common)
-    factories["JL+FSS (Alg1)"] = lambda seed: JLFSSPipeline(
-        seed=seed, jl_dimension=jl_dim, **common
+        factories["NR"] = lambda seed: create_pipeline("nr", k=2, seed=seed, quantizer=quantizer)
+    factories["FSS"] = lambda seed: create_pipeline("fss", seed=seed, **common)
+    factories["JL+FSS (Alg1)"] = lambda seed: create_pipeline(
+        "jl-fss", seed=seed, jl_dimension=jl_dim, **common
     )
-    factories["FSS+JL (Alg2)"] = lambda seed: FSSJLPipeline(
-        seed=seed, jl_dimension=CORESET_JL_DIMENSION, **common
+    factories["FSS+JL (Alg2)"] = lambda seed: create_pipeline(
+        "fss-jl", seed=seed, jl_dimension=CORESET_JL_DIMENSION, **common
     )
-    factories["JL+FSS+JL (Alg3)"] = lambda seed: JLFSSJLPipeline(
+    factories["JL+FSS+JL (Alg3)"] = lambda seed: create_pipeline(
+        "jl-fss-jl",
         seed=seed,
         jl_dimension=jl_dim,
         second_jl_dimension=CORESET_JL_DIMENSION,
@@ -118,8 +112,8 @@ def multi_source_factories(
     )
     jl_dim = jl_dimension_for(d)
     return {
-        "BKLW": lambda seed: BKLWPipeline(seed=seed, **common),
-        "JL+BKLW (Alg4)": lambda seed: JLBKLWPipeline(seed=seed, jl_dimension=jl_dim, **common),
+        "BKLW": lambda seed: create_pipeline("bklw", seed=seed, **common),
+        "JL+BKLW (Alg4)": lambda seed: create_pipeline("jl-bklw", seed=seed, jl_dimension=jl_dim, **common),
     }
 
 
@@ -177,9 +171,14 @@ def run_once(benchmark, fn: Callable[[], object]):
 # ---------------------------------------------------------------------------
 
 #: Directory the BENCH_<category>.json files are written to; CI uploads it as
-#: an artifact so the perf trajectory is comparable across PRs.
+#: an artifact.  The default, ``results/bench/`` at the repository root, is
+#: ignored by git, so running the suite never rewrites tracked files; point
+#: ``REPRO_BENCH_RESULTS_DIR`` at ``benchmarks/results`` to update the
+#: committed snapshots deliberately.
 RESULTS_DIR = os.environ.get(
-    "REPRO_BENCH_RESULTS_DIR", os.path.join(os.path.dirname(__file__), "results")
+    "REPRO_BENCH_RESULTS_DIR",
+    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                 "results", "bench"),
 )
 
 

@@ -1,8 +1,9 @@
 """Acceptance macro-benchmark: fss / jl-fss end-to-end on 100k × 50.
 
 Run once on the pre-change tree and once on the post-change tree; the rows
-land in ``BENCH_perf.json`` (committed) tagged ``baseline:*`` / ``post:*``,
-which is the before/after evidence the perf acceptance criterion reads.
+land in ``BENCH_perf.json`` tagged ``baseline:*`` / ``post:*``.  Rows go to
+the ignored ``results/bench/`` by default; set
+``REPRO_BENCH_RESULTS_DIR=benchmarks/results`` to update the committed file.
 
     PYTHONPATH=src python benchmarks/perf_baseline.py baseline
     PYTHONPATH=src python benchmarks/perf_baseline.py post

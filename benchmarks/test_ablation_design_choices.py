@@ -21,8 +21,7 @@ import numpy as np
 import pytest
 
 from bench_helpers import NUM_SOURCES, print_series, print_table, run_once
-from repro.core.distributed_pipelines import BKLWPipeline
-from repro.core.pipelines import JLFSSPipeline
+from repro.core.registry import create_pipeline
 from repro.cr.sensitivity import SensitivitySampler
 from repro.cr.uniform import UniformCoreset
 from repro.dr.jl import JLProjection
@@ -41,7 +40,9 @@ def test_ablation_jl_ensemble(benchmark, mnist_dataset):
         for ensemble in ("gaussian", "rademacher"):
             projection = JLProjection(d, d // 2, seed=3, ensemble=ensemble)
             distortion = projection.distortion(points[:500])
-            pipeline = JLFSSPipeline(k=2, seed=4, coreset_size=300, pca_rank=20, jl_dimension=d // 2)
+            pipeline = create_pipeline(
+                "jl-fss", k=2, seed=4, coreset_size=300, pca_rank=20, jl_dimension=d // 2
+            )
             report = pipeline.run(points)
             rows[ensemble] = {
                 "norm_distortion": float(distortion),
@@ -91,8 +92,8 @@ def test_ablation_coreset_size_tradeoff(benchmark, mnist_dataset):
         comm: List[float] = []
         cost: List[float] = []
         for size in sizes:
-            pipeline = JLFSSPipeline(k=2, seed=6, coreset_size=size, pca_rank=20,
-                                     jl_dimension=d // 2)
+            pipeline = create_pipeline("jl-fss", k=2, seed=6, coreset_size=size, pca_rank=20,
+                                       jl_dimension=d // 2)
             report = pipeline.run(points)
             comm.append(report.normalized_communication(n, d))
             cost.append(kmeans_cost(points, report.centers) / context.reference_cost)
@@ -115,7 +116,7 @@ def test_ablation_partition_strategy(benchmark, mnist_dataset):
     def _run():
         rows: Dict[str, Dict[str, float]] = {}
         for strategy in ("random", "skewed-size", "by-cluster"):
-            pipeline = BKLWPipeline(k=2, seed=7, total_samples=300, pca_rank=20)
+            pipeline = create_pipeline("bklw", k=2, seed=7, total_samples=300, pca_rank=20)
             report = pipeline.run_on_dataset(
                 points, num_sources=NUM_SOURCES, strategy=strategy, partition_seed=8
             )

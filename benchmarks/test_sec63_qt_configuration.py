@@ -18,7 +18,7 @@ import pytest
 
 from bench_helpers import print_series, run_once
 from repro.core.configuration import configure_joint_reduction, estimate_optimal_cost_lower_bound
-from repro.core.pipelines import JLFSSJLPipeline
+from repro.core.registry import create_pipeline
 from repro.kmeans.cost import kmeans_cost
 from repro.metrics import EvaluationContext
 from repro.quantization.rounding import RoundingQuantizer
@@ -44,7 +44,8 @@ def _configure_and_run(points):
             use_paper_constants=False,
             coreset_cardinality=300, coreset_dimension=48,
         )
-        pipeline = JLFSSJLPipeline(
+        pipeline = create_pipeline(
+            "jl-fss-jl",
             k=2, seed=7, coreset_size=300, jl_dimension=48,
             quantizer=RoundingQuantizer(config.significant_bits),
         )

@@ -19,7 +19,7 @@ from typing import Dict
 import pytest
 
 from bench_helpers import print_table, run_once
-from repro.core.pipelines import FSSPipeline, JLFSSPipeline, JLFSSJLPipeline
+from repro.core.registry import create_pipeline
 from repro.core.theory import scaling_table
 from repro.datasets import make_gaussian_mixture
 
@@ -31,10 +31,11 @@ JL_DIM = 64
 def _measure(n: int, d: int) -> Dict[str, Dict[str, float]]:
     points, _, _ = make_gaussian_mixture(n=n, d=d, k=2, separation=3.0, seed=5)
     rows: Dict[str, Dict[str, float]] = {}
+    common = dict(k=2, seed=1, coreset_size=CORESET, pca_rank=RANK)
     pipelines = {
-        "FSS": FSSPipeline(k=2, seed=1, coreset_size=CORESET, pca_rank=RANK),
-        "JL+FSS": JLFSSPipeline(k=2, seed=1, coreset_size=CORESET, pca_rank=RANK, jl_dimension=JL_DIM),
-        "JL+FSS+JL": JLFSSJLPipeline(k=2, seed=1, coreset_size=CORESET, pca_rank=RANK, jl_dimension=JL_DIM),
+        "FSS": create_pipeline("fss", **common),
+        "JL+FSS": create_pipeline("jl-fss", jl_dimension=JL_DIM, **common),
+        "JL+FSS+JL": create_pipeline("jl-fss-jl", jl_dimension=JL_DIM, **common),
     }
     for name, pipeline in pipelines.items():
         report = pipeline.run(points)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import BKLWPipeline, JLBKLWPipeline, make_neurips_like
+from repro import create_pipeline, make_neurips_like
 from repro.metrics import ExperimentRunner
 
 NUM_SOURCES = 10
@@ -35,8 +35,8 @@ def main() -> None:
     runner = ExperimentRunner(points, k=K, monte_carlo_runs=MONTE_CARLO_RUNS, seed=7)
     common = dict(k=K, total_samples=300, pca_rank=20)
     factories = {
-        "BKLW": lambda s: BKLWPipeline(seed=s, **common),
-        "JL+BKLW (Alg4)": lambda s: JLBKLWPipeline(seed=s, jl_dimension=d // 2, **common),
+        "BKLW": lambda s: create_pipeline("bklw", seed=s, **common),
+        "JL+BKLW (Alg4)": lambda s: create_pipeline("jl-bklw", seed=s, jl_dimension=d // 2, **common),
     }
     result = runner.run_multi_source(factories, num_sources=NUM_SOURCES)
 
@@ -50,13 +50,13 @@ def main() -> None:
 
     # Break the communication down by protocol stage for one run.
     print("\nCommunication breakdown (one run, scalars by message tag):")
-    pipeline = BKLWPipeline(seed=0, **common)
+    pipeline = create_pipeline("bklw", seed=0, **common)
     shards_report = pipeline.run_on_dataset(points, NUM_SOURCES, partition_seed=0)
     print(f"  BKLW total scalars: {shards_report.communication_scalars:,}")
     print(f"    of which disPCA sketches: {int(shards_report.details['dispca_scalars']):,}")
     print(f"    of which disSS samples  : {int(shards_report.details['disss_scalars']):,}")
 
-    pipeline4 = JLBKLWPipeline(seed=0, jl_dimension=d // 2, **common)
+    pipeline4 = create_pipeline("jl-bklw", seed=0, jl_dimension=d // 2, **common)
     report4 = pipeline4.run_on_dataset(points, NUM_SOURCES, partition_seed=0)
     print(f"  JL+BKLW total scalars: {report4.communication_scalars:,}")
     print(f"    of which disPCA sketches: {int(report4.details['dispca_scalars']):,}")

@@ -13,14 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import (
-    FSSJLPipeline,
-    FSSPipeline,
-    JLFSSJLPipeline,
-    JLFSSPipeline,
-    NoReductionPipeline,
-    make_mnist_like,
-)
+from repro import create_pipeline, make_mnist_like
 from repro.metrics import ExperimentRunner
 
 MONTE_CARLO_RUNS = 3
@@ -37,11 +30,12 @@ def main() -> None:
     runner = ExperimentRunner(points, k=K, monte_carlo_runs=MONTE_CARLO_RUNS, seed=42)
     common = dict(k=K, coreset_size=CORESET_SIZE, pca_rank=PCA_RANK)
     factories = {
-        "NR (raw data)": lambda s: NoReductionPipeline(k=K, seed=s),
-        "FSS": lambda s: FSSPipeline(seed=s, **common),
-        "JL+FSS (Alg1)": lambda s: JLFSSPipeline(seed=s, jl_dimension=d // 2, **common),
-        "FSS+JL (Alg2)": lambda s: FSSJLPipeline(seed=s, jl_dimension=64, **common),
-        "JL+FSS+JL (Alg3)": lambda s: JLFSSJLPipeline(
+        "NR (raw data)": lambda s: create_pipeline("nr", k=K, seed=s),
+        "FSS": lambda s: create_pipeline("fss", seed=s, **common),
+        "JL+FSS (Alg1)": lambda s: create_pipeline("jl-fss", seed=s, jl_dimension=d // 2, **common),
+        "FSS+JL (Alg2)": lambda s: create_pipeline("fss-jl", seed=s, jl_dimension=64, **common),
+        "JL+FSS+JL (Alg3)": lambda s: create_pipeline(
+            "jl-fss-jl",
             seed=s, jl_dimension=d // 2, second_jl_dimension=64, **common
         ),
     }

@@ -19,8 +19,8 @@ import numpy as np
 
 from repro import (
     EvaluationContext,
-    JLFSSJLPipeline,
     RoundingQuantizer,
+    create_pipeline,
     configure_joint_reduction,
     evaluate_report,
     make_mnist_like,
@@ -41,7 +41,8 @@ def main() -> None:
     print(f"\n{'significant bits':>18}{'norm. cost':>14}{'norm. comm.':>14}{'device time (s)':>18}")
     for bits in BIT_GRID:
         quantizer = None if bits >= 53 else RoundingQuantizer(bits)
-        pipeline = JLFSSJLPipeline(
+        pipeline = create_pipeline(
+            "jl-fss-jl",
             k=K, seed=2, coreset_size=CORESET_SIZE, jl_dimension=d // 2,
             second_jl_dimension=64, quantizer=quantizer,
         )
@@ -70,7 +71,8 @@ def main() -> None:
         f"predicted summary size {config.predicted_communication / 8 / 1024:.1f} KiB)"
     )
 
-    pipeline = JLFSSJLPipeline(
+    pipeline = create_pipeline(
+        "jl-fss-jl",
         k=K, seed=4, coreset_size=CORESET_SIZE, jl_dimension=d // 2,
         second_jl_dimension=64, quantizer=RoundingQuantizer(config.significant_bits),
     )

@@ -15,8 +15,7 @@ import numpy as np
 
 from repro import (
     EvaluationContext,
-    JLFSSJLPipeline,
-    NoReductionPipeline,
+    create_pipeline,
     evaluate_report,
     make_mnist_like,
 )
@@ -37,11 +36,12 @@ def main() -> None:
     print(f"reference k-means cost: {context.reference_cost:,.1f}")
 
     # Baseline: ship the raw data.
-    raw_report = NoReductionPipeline(k=k, seed=2).run(points)
+    raw_report = create_pipeline("nr", k=k, seed=2).run(points)
     raw_eval = evaluate_report(raw_report, context)
 
     # Algorithm 3: JL -> FSS coreset -> JL, then solve at the server.
-    pipeline = JLFSSJLPipeline(
+    pipeline = create_pipeline(
+        "jl-fss-jl",
         k=k, seed=2, coreset_size=400, jl_dimension=d // 2, second_jl_dimension=64
     )
     report = pipeline.run(points)

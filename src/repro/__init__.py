@@ -9,9 +9,9 @@ weighted k-means on the summary and lifts the centers back.
 
 Quickstart
 ----------
->>> from repro import JLFSSJLPipeline, make_gaussian_mixture
+>>> from repro import create_pipeline, make_gaussian_mixture
 >>> points, _, _ = make_gaussian_mixture(n=2000, d=100, k=5, seed=0)
->>> pipeline = JLFSSJLPipeline(k=5, seed=0)
+>>> pipeline = create_pipeline("jl-fss-jl", k=5, seed=0)
 >>> report = pipeline.run(points)
 >>> report.centers.shape
 (5, 100)
@@ -28,21 +28,10 @@ from repro.core import (
     StreamingEngine,
     StreamingReport,
     QuerySnapshot,
-    SingleSourcePipeline,
-    NoReductionPipeline,
-    FSSPipeline,
-    JLFSSPipeline,
-    FSSJLPipeline,
-    JLFSSJLPipeline,
-    MultiSourcePipeline,
-    DistributedNoReductionPipeline,
-    BKLWPipeline,
-    JLBKLWPipeline,
     PipelineSpec,
     register_pipeline,
     create_pipeline,
     registered_names,
-    make_stage_pipeline,
     QuantizerConfiguration,
     configure_joint_reduction,
     TheoreticalCosts,
@@ -102,7 +91,7 @@ from repro.api import (
     RunRecord,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "PipelineReport",
@@ -118,7 +107,6 @@ __all__ = [
     "register_pipeline",
     "create_pipeline",
     "registered_names",
-    "make_stage_pipeline",
     "Stage",
     "SourceState",
     "StageContext",
@@ -133,16 +121,6 @@ __all__ = [
     "SharedJLStage",
     "BKLWStage",
     "RawGatherStage",
-    "SingleSourcePipeline",
-    "NoReductionPipeline",
-    "FSSPipeline",
-    "JLFSSPipeline",
-    "FSSJLPipeline",
-    "JLFSSJLPipeline",
-    "MultiSourcePipeline",
-    "DistributedNoReductionPipeline",
-    "BKLWPipeline",
-    "JLBKLWPipeline",
     "QuantizerConfiguration",
     "configure_joint_reduction",
     "TheoreticalCosts",

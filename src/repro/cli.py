@@ -61,19 +61,6 @@ from repro.quantization.rounding import RoundingQuantizer
 DEFAULT_CACHE_DIR = "results/stage_cache"
 
 
-def _algorithms() -> Dict[str, tuple]:
-    """CLI algorithm name -> (pipeline factory, is_multi_source)."""
-    return {
-        spec.name: (spec.factory, spec.multi_source)
-        for spec in registry.registered_specs()
-    }
-
-
-#: Backwards-compatible view of the registry (kept because external callers
-#: and the test suite introspect it).
-ALGORITHMS = _algorithms()
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Create the legacy flat-flag argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -722,8 +709,8 @@ def run_stream(args: argparse.Namespace) -> Dict[str, float]:
     if args.quantize_bits is not None and args.quantize_bits < 53:
         quantizer = RoundingQuantizer(args.quantize_bits)
     try:
-        # create_pipeline is strict by default: a knob the composition does
-        # not accept is an error, not a silent drop.
+        # create_pipeline rejects a knob the composition does not accept
+        # instead of silently dropping it.
         engine = registry.create_pipeline(
             args.algorithm,
             k=args.k,

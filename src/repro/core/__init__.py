@@ -1,4 +1,4 @@
-"""Core: the stage engine, the pipeline registry, and the paper's pipelines.
+"""Core: the stage engine and the pipeline registry.
 
 The execution skeleton shared by every algorithm lives in
 :mod:`repro.core.engine` (:class:`StagePipeline` /
@@ -7,24 +7,20 @@ weighted k-means, and center lift-back through the recorded DR inverses.
 Algorithms are declarative compositions of the stages in
 :mod:`repro.stages`, registered by name in :mod:`repro.core.registry`.
 
-Single-source pipelines (Section 4):
+The paper's eight algorithms are registry entries built with
+:func:`create_pipeline`:
 
-* :class:`NoReductionPipeline` — transmit the raw data (the "NR" baseline).
-* :class:`FSSPipeline` — the FSS baseline (Theorem 4.1).
-* :class:`JLFSSPipeline` — Algorithm 1 (DR + CR).
-* :class:`FSSJLPipeline` — Algorithm 2 (CR + DR).
-* :class:`JLFSSJLPipeline` — Algorithm 3 (DR + CR + DR).
+* single source (Section 4): ``"nr"`` (raw data), ``"fss"`` (Theorem 4.1),
+  ``"jl-fss"`` (Algorithm 1, DR + CR), ``"fss-jl"`` (Algorithm 2, CR + DR)
+  and ``"jl-fss-jl"`` (Algorithm 3, DR + CR + DR);
+* multi source (Section 5), over an
+  :class:`~repro.distributed.cluster.EdgeCluster`: ``"nr-distributed"``
+  (raw shards), ``"bklw"`` (Theorem 5.3) and ``"jl-bklw"`` (Algorithm 4).
 
-Multi-source pipelines (Section 5), operating on an
-:class:`~repro.distributed.cluster.EdgeCluster`:
-
-* :class:`DistributedNoReductionPipeline` — raw-data baseline.
-* :class:`BKLWPipeline` — the BKLW baseline (Theorem 5.3).
-* :class:`JLBKLWPipeline` — Algorithm 4 (Theorem 5.4).
-
-All pipelines accept an optional rounding quantizer, giving the +QT variants
-of Section 6, and return a :class:`PipelineReport` with the centers (in the
-original space) plus the communication and computation accounting.
+Every pipeline accepts an optional rounding quantizer, giving the +QT
+variants of Section 6, and returns a :class:`PipelineReport` with the
+centers (in the original space) plus the communication and computation
+accounting.
 
 :mod:`repro.core.configuration` implements the quantizer-configuration
 optimizer of Section 6.3 and :mod:`repro.core.theory` the closed-form
@@ -37,20 +33,6 @@ from repro.core.engine import (
     DistributedStagePipeline,
     WireSummary,
     encode_for_wire,
-)
-from repro.core.pipelines import (
-    SingleSourcePipeline,
-    NoReductionPipeline,
-    FSSPipeline,
-    JLFSSPipeline,
-    FSSJLPipeline,
-    JLFSSJLPipeline,
-)
-from repro.core.distributed_pipelines import (
-    MultiSourcePipeline,
-    DistributedNoReductionPipeline,
-    BKLWPipeline,
-    JLBKLWPipeline,
 )
 from repro.core.streaming import (
     StreamingEngine,
@@ -66,7 +48,6 @@ from repro.core.registry import (
     get_spec,
     is_multi_source,
     is_streaming,
-    make_stage_pipeline,
 )
 from repro.core.configuration import (
     QuantizerConfiguration,
@@ -85,16 +66,6 @@ __all__ = [
     "QuerySnapshot",
     "WireSummary",
     "encode_for_wire",
-    "SingleSourcePipeline",
-    "NoReductionPipeline",
-    "FSSPipeline",
-    "JLFSSPipeline",
-    "FSSJLPipeline",
-    "JLFSSJLPipeline",
-    "MultiSourcePipeline",
-    "DistributedNoReductionPipeline",
-    "BKLWPipeline",
-    "JLBKLWPipeline",
     "PipelineSpec",
     "register_pipeline",
     "create_pipeline",
@@ -103,7 +74,6 @@ __all__ = [
     "get_spec",
     "is_multi_source",
     "is_streaming",
-    "make_stage_pipeline",
     "QuantizerConfiguration",
     "configure_joint_reduction",
     "approximation_error_bound",

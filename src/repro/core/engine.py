@@ -14,10 +14,9 @@ once, for *any* declarative composition of stages:
   :class:`~repro.distributed.cluster.EdgeCluster` of shards.
 
 Both produce the same :class:`~repro.core.report.PipelineReport` as the seed
-pipelines — the classes in :mod:`repro.core.pipelines` and
-:mod:`repro.core.distributed_pipelines` are now thin factories over stage
-compositions, and :mod:`repro.core.registry` registers further compositions
-the monolithic implementations could not express.
+pipelines.  The paper's eight algorithms, and further compositions the
+monolithic implementations could not express, are registered by name in
+:mod:`repro.core.registry`.
 
 Protocol sequence (single source)
 ---------------------------------
@@ -128,6 +127,17 @@ def encode_for_wire(state: SourceState) -> WireSummary:
     )
 
 
+def with_quantize_stage(
+    stages: Sequence[Stage], quantizer: Optional[RoundingQuantizer]
+) -> List[Stage]:
+    """``stages`` plus the trailing QT stage that a ``quantizer`` argument is
+    sugar for."""
+    stages = list(stages)
+    if quantizer is not None:
+        stages.append(QuantizeStage(quantizer))
+    return stages
+
+
 class _MeteredContext(StageContext):
     """A :class:`StageContext` that counts ``derive_seed`` draws.
 
@@ -151,9 +161,7 @@ class StagePipeline:
     Parameters
     ----------
     stages:
-        The stage composition to execute.  Subclasses may instead override
-        :meth:`build_stages` (the eight paper pipelines do, deriving their
-        stages from the classic constructor arguments).
+        The stage composition to execute (may be empty: the NR baseline).
     k:
         Number of clusters.
     epsilon, delta:
@@ -197,7 +205,7 @@ class StagePipeline:
 
     def __init__(
         self,
-        stages: Optional[Sequence[Stage]] = None,
+        stages: Sequence[Stage],
         *,
         k: int,
         epsilon: float = 0.2,
@@ -227,29 +235,9 @@ class StagePipeline:
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.stage_cache = stage_cache
         self._rng = as_generator(seed)
-        self._stages = None if stages is None else list(stages)
+        self.stages = list(stages)
         if name is not None:
             self.name = str(name)
-
-    # -------------------------------------------------------------- assembly
-    def build_stages(self) -> List[Stage]:
-        """Return the stage composition for one run.
-
-        The default returns the stages given at construction; the concrete
-        paper pipelines override this to derive their composition from the
-        classic constructor arguments.
-        """
-        if self._stages is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} must be given stages or override build_stages()"
-            )
-        return list(self._stages)
-
-    def _wire_stages(self) -> List[Stage]:
-        stages = self.build_stages()
-        if self.quantizer is not None:
-            stages.append(QuantizeStage(self.quantizer))
-        return stages
 
     def _server_solver(self, seed: SeedLike) -> WeightedKMeans:
         return WeightedKMeans(
@@ -281,7 +269,7 @@ class StagePipeline:
         ctx = context_cls(
             k=self.k, epsilon=self.epsilon, delta=self.delta, rng=self._rng
         )
-        stages = self._wire_stages()
+        stages = with_quantize_stage(self.stages, self.quantizer)
 
         # Seed handshake: pre-shared randomness is agreed before the protocol
         # runs, so data-oblivious maps cost zero communication.
@@ -410,7 +398,7 @@ class DistributedStagePipeline:
 
     def __init__(
         self,
-        stages: Optional[Sequence[DistributedStage]] = None,
+        stages: Sequence[DistributedStage],
         *,
         k: int,
         epsilon: float = 1.0 / 3.0,
@@ -444,17 +432,9 @@ class DistributedStagePipeline:
         ).with_overrides(retries=retries, seed=network_seed)
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self._rng = as_generator(seed)
-        self._stages = None if stages is None else list(stages)
+        self.stages = list(stages)
         if name is not None:
             self.name = str(name)
-
-    # -------------------------------------------------------------- assembly
-    def build_stages(self) -> List[DistributedStage]:
-        if self._stages is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} must be given stages or override build_stages()"
-            )
-        return list(self._stages)
 
     @property
     def quantizer_bits(self) -> Optional[int]:
@@ -466,7 +446,7 @@ class DistributedStagePipeline:
         shards = [check_matrix(s, "shard") for s in shards]
         if not shards:
             raise ValueError("at least one shard is required")
-        stages = self.build_stages()
+        stages = self.stages
         ctx = DistributedStageContext(
             k=self.k,
             epsilon=self.epsilon,

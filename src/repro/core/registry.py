@@ -23,20 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.distributed_pipelines import (
-    BKLWPipeline,
-    DistributedNoReductionPipeline,
-    JLBKLWPipeline,
-)
 from repro.core.engine import DistributedStagePipeline, StagePipeline
 from repro.core.streaming import StreamingEngine
-from repro.core.pipelines import (
-    FSSJLPipeline,
-    FSSPipeline,
-    JLFSSJLPipeline,
-    JLFSSPipeline,
-    NoReductionPipeline,
-)
 from repro.distributed.conditions import (
     NETWORK_PRESETS,
     FaultPlan,
@@ -44,6 +32,7 @@ from repro.distributed.conditions import (
     resolve_condition,
 )
 from repro.stages.cr import FSSStage, SensitivityStage, UniformStage
+from repro.stages.distributed import BKLWStage, RawGatherStage, SharedJLStage
 from repro.stages.dr import JLStage, PCAStage
 from repro.stages.qt import QuantizeStage
 
@@ -173,29 +162,26 @@ def accepted_kwargs(name: str) -> Tuple[str, ...]:
     return SINGLE_SOURCE_KWARGS
 
 
-def create_pipeline(name: str, *, strict: Optional[bool] = True, **kwargs):
+def create_pipeline(name: str, **kwargs):
     """Build a fresh pipeline instance for a registered composition.
 
     ``kwargs`` outside the standard set for the composition's kind (see
     :func:`accepted_kwargs`) are rejected with a ``TypeError`` — typos like
-    ``jl_dim=20`` used to silently run the wrong experiment.  Pass
-    ``strict=False`` to deliberately opt into the historical lenient
-    filtering (callers that pass one merged configuration for mixed
-    experiments); the previous ``strict=None`` deprecation default now
-    means strict.
+    ``jl_dim=20`` would otherwise silently run the wrong experiment.  Callers
+    holding one merged configuration for mixed kinds pass each composition
+    its :func:`accepted_kwargs` subset.  ``None`` values mean "use the
+    default".
     """
     spec = get_spec(name)
     accepted = accepted_kwargs(name)
     unknown = sorted(set(kwargs) - set(accepted))
-    if unknown and (strict or strict is None):
+    if unknown:
         raise TypeError(
             f"create_pipeline({name!r}) got unknown keyword arguments "
             f"{unknown}; {factory_kind(name)} pipelines accept "
-            f"{sorted(accepted)} (pass strict=False to filter them "
-            f"deliberately)"
+            f"{sorted(accepted)}"
         )
-    filtered = {k: v for k, v in kwargs.items() if k in accepted and v is not None}
-    return spec.factory(**filtered)
+    return spec.factory(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 def registered_names(
@@ -225,47 +211,6 @@ def is_streaming(name: str) -> bool:
     return get_spec(name).streaming
 
 
-# --------------------------------------------------------------------------
-# The paper's eight algorithms.
-# --------------------------------------------------------------------------
-register_pipeline(
-    "nr", NoReductionPipeline,
-    description="no reduction: transmit the raw dataset (Section 7.2 baseline)",
-)
-register_pipeline(
-    "fss", FSSPipeline,
-    description="FSS coreset: PCA + sensitivity sampling (Theorem 4.1)",
-)
-register_pipeline(
-    "jl-fss", JLFSSPipeline,
-    description="Algorithm 1: JL projection, then FSS (Theorem 4.2)",
-)
-register_pipeline(
-    "fss-jl", FSSJLPipeline,
-    description="Algorithm 2: FSS, then JL projection of the coreset (Theorem 4.3)",
-)
-register_pipeline(
-    "jl-fss-jl", JLFSSJLPipeline,
-    description="Algorithm 3: JL, then FSS, then JL again (Theorem 4.4)",
-)
-register_pipeline(
-    "nr-distributed", DistributedNoReductionPipeline, multi_source=True,
-    description="distributed no-reduction baseline: every source ships its shard",
-)
-register_pipeline(
-    "bklw", BKLWPipeline, multi_source=True,
-    description="BKLW: disPCA + disSS (Theorem 5.3)",
-)
-register_pipeline(
-    "jl-bklw", JLBKLWPipeline, multi_source=True,
-    description="Algorithm 4: shared-seed JL, then BKLW (Theorem 5.4)",
-)
-
-
-# --------------------------------------------------------------------------
-# Novel compositions the monolithic seed implementations could not express.
-# --------------------------------------------------------------------------
-
 #: Defaults shared by every stage-composition factory (values a caller gets
 #: when it omits the argument — the engines' own documented defaults).
 _FACTORY_DEFAULTS = {
@@ -279,6 +224,7 @@ _FACTORY_DEFAULTS = {
 #: rather than by the engine constructor.
 _STAGE_GEOMETRY_KWARGS = (
     "coreset_size", "pca_rank", "jl_dimension", "second_jl_dimension",
+    "total_samples",
 )
 
 
@@ -328,6 +274,105 @@ def _single(stages_builder, default_name):
     )
 
 
+def _multi(stages_builder, default_name):
+    """Wrap a stage-list builder into a multi-source pipeline factory (the
+    BKLW analysis caps epsilon at 1/3, which is also its default)."""
+    return _composition_factory(
+        stages_builder, default_name,
+        engine_cls=DistributedStagePipeline, accepted=MULTI_SOURCE_KWARGS,
+        defaults={"epsilon": 1.0 / 3.0},
+    )
+
+
+# --------------------------------------------------------------------------
+# The paper's eight algorithms.  Summary sizes default to values tuned so
+# that all algorithms land in a comparable empirical error regime (the
+# spirit of Section 7.1) rather than to the pessimistic theoretical
+# constants; every size can be overridden.
+# --------------------------------------------------------------------------
+register_pipeline(
+    "nr",
+    _single(lambda **_: [], "NR"),
+    description="no reduction: transmit the raw dataset (Section 7.2 baseline)",
+)
+register_pipeline(
+    "fss",
+    _single(
+        lambda coreset_size, pca_rank, **_: [
+            FSSStage(size=coreset_size, pca_rank=pca_rank),
+        ],
+        "FSS",
+    ),
+    description="FSS coreset: PCA + sensitivity sampling (Theorem 4.1)",
+)
+register_pipeline(
+    "jl-fss",
+    _single(
+        lambda coreset_size, pca_rank, jl_dimension, **_: [
+            JLStage(jl_dimension),
+            FSSStage(size=coreset_size, pca_rank=pca_rank),
+        ],
+        "JL+FSS (Alg1)",
+    ),
+    description="Algorithm 1: JL projection, then FSS (Theorem 4.2)",
+)
+register_pipeline(
+    "fss-jl",
+    _single(
+        lambda coreset_size, pca_rank, jl_dimension, **_: [
+            FSSStage(size=coreset_size, pca_rank=pca_rank),
+            JLStage(jl_dimension),
+        ],
+        "FSS+JL (Alg2)",
+    ),
+    description="Algorithm 2: FSS, then JL projection of the coreset (Theorem 4.3)",
+)
+register_pipeline(
+    "jl-fss-jl",
+    _single(
+        lambda coreset_size, pca_rank, jl_dimension, second_jl_dimension: [
+            JLStage(jl_dimension),
+            FSSStage(size=coreset_size, pca_rank=pca_rank),
+            JLStage(second_jl_dimension),
+        ],
+        "JL+FSS+JL (Alg3)",
+    ),
+    description="Algorithm 3: JL, then FSS, then JL again (Theorem 4.4)",
+)
+register_pipeline(
+    "nr-distributed",
+    _multi(lambda **_: [RawGatherStage()], "NR (distributed)"),
+    multi_source=True,
+    description="distributed no-reduction baseline: every source ships its shard",
+)
+register_pipeline(
+    "bklw",
+    _multi(
+        lambda pca_rank, total_samples, **_: [
+            BKLWStage(pca_rank=pca_rank, total_samples=total_samples),
+        ],
+        "BKLW",
+    ),
+    multi_source=True,
+    description="BKLW: disPCA + disSS (Theorem 5.3)",
+)
+register_pipeline(
+    "jl-bklw",
+    _multi(
+        lambda pca_rank, total_samples, jl_dimension: [
+            SharedJLStage(jl_dimension),
+            BKLWStage(pca_rank=pca_rank, total_samples=total_samples),
+        ],
+        "JL+BKLW (Alg4)",
+    ),
+    multi_source=True,
+    description="Algorithm 4: shared-seed JL, then BKLW (Theorem 5.4)",
+)
+
+
+# --------------------------------------------------------------------------
+# Novel compositions the monolithic seed implementations could not express.
+# --------------------------------------------------------------------------
 register_pipeline(
     "uniform",
     _single(
@@ -487,13 +532,6 @@ register_pipeline(
 )
 
 
-def make_stage_pipeline(stages, *, multi_source: bool = False, **kwargs):
-    """Build an unregistered ad-hoc composition (convenience for notebooks
-    and tests): dispatches to the right engine class."""
-    engine_cls = DistributedStagePipeline if multi_source else StagePipeline
-    return engine_cls(stages, **kwargs)
-
-
 def network_preset_names() -> List[str]:
     """Sorted names of the registered network-condition presets."""
     return sorted(NETWORK_PRESETS)
@@ -515,7 +553,6 @@ __all__ = [
     "registered_specs",
     "is_multi_source",
     "is_streaming",
-    "make_stage_pipeline",
     "network_preset_names",
     "network_preset",
     "NETWORK_PRESETS",

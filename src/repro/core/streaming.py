@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import DistributedStagePipeline
+from repro.core.engine import DistributedStagePipeline, with_quantize_stage
 from repro.core.report import PipelineReport
 from repro.datasets.streams import iter_batches
 from repro.distributed.conditions import (
@@ -113,7 +113,7 @@ class StreamingEngine(DistributedStagePipeline):
     stages:
         The composition applied to every batch; must contain exactly one CR
         stage (the first one found is also the tree's merge-and-reduce
-        compressor).  Subclasses may override :meth:`build_stages` instead.
+        compressor).
     k, epsilon, delta:
         Clustering problem parameters (same contract as StagePipeline).
     batch_size:
@@ -162,7 +162,7 @@ class StreamingEngine(DistributedStagePipeline):
 
     def __init__(
         self,
-        stages: Optional[Sequence[Stage]] = None,
+        stages: Sequence[Stage],
         *,
         k: int,
         epsilon: float = 0.2,
@@ -207,7 +207,7 @@ class StreamingEngine(DistributedStagePipeline):
         self.topology = topology
         self.fan_in = None if fan_in is None else check_positive_int(fan_in, "fan_in")
         self._rng = as_generator(seed)
-        self._stages = None if stages is None else list(stages)
+        self.stages = list(stages)
         if name is not None:
             self.name = str(name)
 
@@ -255,7 +255,7 @@ class StreamingEngine(DistributedStagePipeline):
         first_batch = check_matrix(first_batch, "batch")
         iterators[0] = iter(itertools.chain([first_batch], iterators[0]))
 
-        stages = self._wire_stages()
+        stages = with_quantize_stage(self.stages, self.quantizer)
         stages = _pin_derived_dimensions(stages, first_batch.shape, ctx)
         reduce_stage = next((s for s in stages if s.reduces_cardinality), None)
         if reduce_stage is None:
@@ -476,7 +476,7 @@ class StreamingEngine(DistributedStagePipeline):
         ctx = StageContext(
             k=self.k, epsilon=self.epsilon, delta=self.delta, rng=self._rng
         )
-        stages = self._wire_stages()
+        stages = with_quantize_stage(self.stages, self.quantizer)
         stages = _pin_derived_dimensions(stages, first_batch_shape, ctx)
         reduce_stage = next((s for s in stages if s.reduces_cardinality), None)
         if reduce_stage is None:
@@ -499,12 +499,6 @@ class StreamingEngine(DistributedStagePipeline):
         )
 
     # ------------------------------------------------------------ internals
-    def _wire_stages(self) -> List[Stage]:
-        stages = self.build_stages()
-        if self.quantizer is not None:
-            stages.append(QuantizeStage(self.quantizer))
-        return stages
-
     def _windowed_totals(self, ledger: Dict[int, List[int]], t: int) -> Tuple[int, int]:
         if self.window is None:
             steps = ledger.values()

@@ -2,7 +2,7 @@
 
 Builds the whole simulated deployment (one :class:`SimulatedNetwork`, ``m``
 :class:`DataSourceNode` shards, one :class:`EdgeServer`) from a dataset and a
-partition strategy.  The multi-source pipelines of :mod:`repro.core.pipelines`
+partition strategy.  The multi-source pipelines of :mod:`repro.core.registry`
 operate on an ``EdgeCluster``.
 """
 

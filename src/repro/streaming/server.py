@@ -104,6 +104,27 @@ class FoldResult(enum.Enum):
     DUPLICATE = "duplicate"
 
 
+def admit_update(watermarks: Dict[str, int], update: SourceUpdate) -> bool:
+    """Check ``update`` against its source's high-water mark.
+
+    The delivery contract shared by every fold owner (the server and the
+    topology aggregators): returns True when the update is the next one in
+    its source's sequence and must be applied (the caller then advances the
+    watermark), False for a duplicate or stale replay that must leave every
+    state untouched.  Raises :class:`UnknownSourceError` for an unregistered
+    source and :class:`UpdateGapError` when updates were skipped.
+    """
+    watermark = watermarks.get(update.source_id)
+    if watermark is None:
+        raise UnknownSourceError(update.source_id, watermarks)
+    index = int(update.batch_index)
+    if index <= watermark:
+        return False
+    if index > watermark + 1:
+        raise UpdateGapError(update.source_id, watermark + 1, index)
+    return True
+
+
 class StreamingServer:
     """Server half of the streaming protocol.
 
@@ -168,19 +189,13 @@ class StreamingServer:
         :class:`UnknownSourceError`.
         """
         faultpoints.reach("streaming.fold")
-        watermark = self._watermarks.get(update.source_id)
-        if watermark is None:
-            raise UnknownSourceError(update.source_id, self._watermarks)
-        index = int(update.batch_index)
-        if index <= watermark:
+        if not admit_update(self._watermarks, update):
             return FoldResult.DUPLICATE
-        if index > watermark + 1:
-            raise UpdateGapError(update.source_id, watermark + 1, index)
         for bucket_id in update.retired_ids:
             self._buckets.pop((update.source_id, bucket_id), None)
         for bucket in update.added:
             self._buckets[(update.source_id, bucket.bucket_id)] = bucket.coreset
-        self._watermarks[update.source_id] = index
+        self._watermarks[update.source_id] = int(update.batch_index)
         self.updates_folded += 1
         return FoldResult.APPLIED
 

@@ -28,7 +28,7 @@ from repro.distributed.conditions import DeliveryError
 from repro.distributed.network import SimulatedNetwork
 from repro.stages.base import SourceState, Stage, StageContext
 from repro.streaming.source import BucketUpdate, SourceUpdate
-from repro.streaming.server import FoldResult, UnknownSourceError, UpdateGapError
+from repro.streaming.server import FoldResult, admit_update
 from repro.utils.clock import perf_counter
 
 
@@ -86,22 +86,17 @@ class AggregatorNode:
         return self._watermarks.setdefault(str(child_id), -1)
 
     def fold(self, update: SourceUpdate) -> FoldResult:
-        """Fold one child update under the watermarked delivery contract."""
-        watermark = self._watermarks.get(update.source_id)
-        if watermark is None:
-            raise UnknownSourceError(update.source_id, self._watermarks)
-        index = int(update.batch_index)
-        if index <= watermark:
+        """Fold one child update under the watermarked delivery contract
+        (:func:`~repro.streaming.server.admit_update`)."""
+        if not admit_update(self._watermarks, update):
             return FoldResult.DUPLICATE
-        if index > watermark + 1:
-            raise UpdateGapError(update.source_id, watermark + 1, index)
         for bucket_id in update.retired_ids:
             if self._buckets.pop((update.source_id, bucket_id), None) is not None:
                 self._dirty = True
         for bucket in update.added:
             self._buckets[(update.source_id, bucket.bucket_id)] = bucket
             self._dirty = True
-        self._watermarks[update.source_id] = index
+        self._watermarks[update.source_id] = int(update.batch_index)
         self.updates_folded += 1
         return FoldResult.APPLIED
 

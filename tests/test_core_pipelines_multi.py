@@ -3,19 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.core.distributed_pipelines import (
-    BKLWPipeline,
-    DistributedNoReductionPipeline,
-    JLBKLWPipeline,
-    default_distributed_samples,
-)
+from repro.core.registry import create_pipeline
 from repro.distributed.partition import partition_dataset
 from repro.kmeans.cost import kmeans_cost
 from repro.kmeans.lloyd import solve_reference_kmeans
 from repro.quantization.rounding import RoundingQuantizer
+from repro.stages.sizing import default_distributed_samples
 
-MULTI_PIPELINES = [DistributedNoReductionPipeline, BKLWPipeline, JLBKLWPipeline]
-REDUCTION_PIPELINES = [BKLWPipeline, JLBKLWPipeline]
+# Registry names; the ids are the names these cases have always been
+# reported under, so test history stays comparable.
+REDUCTION_PIPELINES = [
+    pytest.param("bklw", id="BKLWPipeline"),
+    pytest.param("jl-bklw", id="JLBKLWPipeline"),
+]
+MULTI_PIPELINES = [
+    pytest.param("nr-distributed", id="DistributedNoReductionPipeline"),
+] + REDUCTION_PIPELINES
 
 
 @pytest.fixture(scope="module")
@@ -31,31 +34,31 @@ class TestDefaults:
 
 
 class TestMultiSourcePipelines:
-    @pytest.mark.parametrize("pipeline_cls", MULTI_PIPELINES)
-    def test_centers_shape_and_finite(self, shards, pipeline_cls, high_dim_points):
-        pipeline = pipeline_cls(k=3, seed=0, total_samples=80, pca_rank=8)
+    @pytest.mark.parametrize("name", MULTI_PIPELINES)
+    def test_centers_shape_and_finite(self, shards, name, high_dim_points):
+        pipeline = create_pipeline(name, k=3, seed=0, total_samples=80, pca_rank=8)
         report = pipeline.run(shards)
         assert report.centers.shape == (3, high_dim_points.shape[1])
         assert np.all(np.isfinite(report.centers))
 
-    @pytest.mark.parametrize("pipeline_cls", MULTI_PIPELINES)
-    def test_accounting(self, shards, pipeline_cls):
-        report = pipeline_cls(k=3, seed=1, total_samples=80, pca_rank=8).run(shards)
+    @pytest.mark.parametrize("name", MULTI_PIPELINES)
+    def test_accounting(self, shards, name):
+        report = create_pipeline(name, k=3, seed=1, total_samples=80, pca_rank=8).run(shards)
         assert report.communication_scalars > 0
         assert report.source_seconds >= 0.0
         assert report.details["num_sources"] == len(shards)
         assert report.details["total_source_seconds"] >= report.source_seconds
 
-    @pytest.mark.parametrize("pipeline_cls", REDUCTION_PIPELINES)
-    def test_solution_quality(self, high_dim_blobs, pipeline_cls):
+    @pytest.mark.parametrize("name", REDUCTION_PIPELINES)
+    def test_solution_quality(self, high_dim_blobs, name):
         points, _, _ = high_dim_blobs
         reference = solve_reference_kmeans(points, 3, n_init=5, seed=0)
         # jl_dimension is set to the ambient dimension: these blobs have a
         # very large between/within variance ratio, a regime in which the
         # paper's pinv lift-back of centers loses accuracy for aggressive JL
         # reduction (see test_lift_back_tradeoff below for that behaviour).
-        pipeline = pipeline_cls(
-            k=3, seed=2, total_samples=150, pca_rank=15,
+        pipeline = create_pipeline(
+            name, k=3, seed=2, total_samples=150, pca_rank=15,
             jl_dimension=points.shape[1],
         )
         report = pipeline.run_on_dataset(points, num_sources=4, partition_seed=0)
@@ -69,10 +72,12 @@ class TestMultiSourcePipelines:
         rather than allowing arbitrary compression."""
         points, _, _ = high_dim_blobs
         reference = solve_reference_kmeans(points, 3, n_init=5, seed=0)
-        aggressive = JLBKLWPipeline(
+        aggressive = create_pipeline(
+            "jl-bklw",
             k=3, seed=2, total_samples=150, pca_rank=15, jl_dimension=20
         ).run_on_dataset(points, num_sources=4, partition_seed=0)
-        conservative = JLBKLWPipeline(
+        conservative = create_pipeline(
+            "jl-bklw",
             k=3, seed=2, total_samples=150, pca_rank=15,
             jl_dimension=points.shape[1],
         ).run_on_dataset(points, num_sources=4, partition_seed=0)
@@ -81,15 +86,15 @@ class TestMultiSourcePipelines:
         )
         assert kmeans_cost(points, conservative.centers) <= reference.cost * 1.5
 
-    @pytest.mark.parametrize("pipeline_cls", REDUCTION_PIPELINES)
-    def test_communication_below_raw(self, shards, high_dim_points, pipeline_cls):
+    @pytest.mark.parametrize("name", REDUCTION_PIPELINES)
+    def test_communication_below_raw(self, shards, high_dim_points, name):
         n, d = high_dim_points.shape
-        report = pipeline_cls(k=3, seed=3, total_samples=60, pca_rank=6).run(shards)
+        report = create_pipeline(name, k=3, seed=3, total_samples=60, pca_rank=6).run(shards)
         assert report.communication_scalars < n * d
 
     def test_nr_transmits_everything(self, shards, high_dim_points):
         n, d = high_dim_points.shape
-        report = DistributedNoReductionPipeline(k=2, seed=0).run(shards)
+        report = create_pipeline("nr-distributed", k=2, seed=0).run(shards)
         assert report.communication_scalars == n * d
 
     def test_jlbklw_cheaper_than_bklw_high_dimension(self):
@@ -100,25 +105,26 @@ class TestMultiSourcePipelines:
 
         points, _, _ = make_gaussian_mixture(n=600, d=400, k=3, seed=1)
         kwargs = dict(k=3, seed=4, total_samples=80, pca_rank=8)
-        bklw = BKLWPipeline(**kwargs).run_on_dataset(points, 4, partition_seed=1)
-        jlbklw = JLBKLWPipeline(jl_dimension=60, **kwargs).run_on_dataset(
+        bklw = create_pipeline("bklw", **kwargs).run_on_dataset(points, 4, partition_seed=1)
+        jlbklw = create_pipeline("jl-bklw", jl_dimension=60, **kwargs).run_on_dataset(
             points, 4, partition_seed=1
         )
         assert jlbklw.communication_scalars < bklw.communication_scalars
 
     def test_quantizer_reduces_bits(self, shards):
-        plain = BKLWPipeline(k=3, seed=5, total_samples=60, pca_rank=6).run(shards)
-        quantized = BKLWPipeline(
+        plain = create_pipeline("bklw", k=3, seed=5, total_samples=60, pca_rank=6).run(shards)
+        quantized = create_pipeline(
+            "bklw",
             k=3, seed=5, total_samples=60, pca_rank=6, quantizer=RoundingQuantizer(8)
         ).run(shards)
         assert quantized.communication_bits < plain.communication_bits
         assert quantized.quantizer_bits == 8
 
     def test_run_on_dataset_matches_manual_partition(self, high_dim_points):
-        pipeline = BKLWPipeline(k=2, seed=6, total_samples=50, pca_rank=5)
+        pipeline = create_pipeline("bklw", k=2, seed=6, total_samples=50, pca_rank=5)
         report = pipeline.run_on_dataset(high_dim_points, num_sources=3, partition_seed=7)
         assert report.details["num_sources"] == 3
 
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(ValueError):
-            BKLWPipeline(k=2, epsilon=0.5)
+            create_pipeline("bklw", k=2, epsilon=0.5)

@@ -24,18 +24,18 @@ class TestDegenerateDatasets:
         points = rng.standard_normal((200, 10))
         points[:, 3] = 5.0
         points[:, 7] = 0.0
-        report = repro.JLFSSPipeline(k=3, seed=1, coreset_size=50).run(points)
+        report = repro.create_pipeline("jl-fss", k=3, seed=1, coreset_size=50).run(points)
         assert np.all(np.isfinite(report.centers))
 
     def test_all_identical_points(self):
         points = np.tile([[1.0, 2.0, 3.0]], (100, 1))
-        report = repro.FSSPipeline(k=2, seed=0, coreset_size=20).run(points)
+        report = repro.create_pipeline("fss", k=2, seed=0, coreset_size=20).run(points)
         assert np.allclose(report.centers, [1.0, 2.0, 3.0], atol=1e-6)
 
     def test_single_cluster_k_greater_than_structure(self):
         rng = np.random.default_rng(1)
         points = rng.standard_normal((100, 5)) * 0.01
-        report = repro.JLFSSJLPipeline(k=5, seed=0, coreset_size=40).run(points)
+        report = repro.create_pipeline("jl-fss-jl", k=5, seed=0, coreset_size=40).run(points)
         assert report.centers.shape == (5, 5)
 
     def test_tiny_dataset_smaller_than_coreset(self):
@@ -72,20 +72,20 @@ class TestDegenerateDistributedSetups:
     def test_many_tiny_shards(self, blob_points):
         # 40 sources each holding ~10 points: local SVD ranks and sample
         # allocations must all stay within bounds.
-        pipeline = repro.BKLWPipeline(k=2, seed=0, total_samples=80, pca_rank=5)
+        pipeline = repro.create_pipeline("bklw", k=2, seed=0, total_samples=80, pca_rank=5)
         report = pipeline.run_on_dataset(blob_points, num_sources=40, partition_seed=1)
         assert np.all(np.isfinite(report.centers))
 
     def test_shard_smaller_than_k(self):
         rng = np.random.default_rng(4)
         shards = [rng.standard_normal((2, 6)), rng.standard_normal((50, 6))]
-        pipeline = repro.BKLWPipeline(k=3, seed=0, total_samples=20, pca_rank=2)
+        pipeline = repro.create_pipeline("bklw", k=3, seed=0, total_samples=20, pca_rank=2)
         report = pipeline.run(shards)
         assert report.centers.shape == (3, 6)
 
     def test_imbalanced_shards(self, blob_points):
         shards = [blob_points[:5], blob_points[5:]]
-        pipeline = repro.JLBKLWPipeline(k=2, seed=0, total_samples=40, pca_rank=4,
+        pipeline = repro.create_pipeline("jl-bklw", k=2, seed=0, total_samples=40, pca_rank=4,
                                         jl_dimension=blob_points.shape[1])
         report = pipeline.run(shards)
         assert np.all(np.isfinite(report.centers))
@@ -93,7 +93,8 @@ class TestDegenerateDistributedSetups:
 
 class TestQuantizerExtremes:
     def test_one_bit_quantizer_still_produces_finite_centers(self, high_dim_points):
-        pipeline = repro.JLFSSPipeline(
+        pipeline = repro.create_pipeline(
+            "jl-fss",
             k=3, seed=0, coreset_size=80, quantizer=repro.RoundingQuantizer(1)
         )
         report = pipeline.run(high_dim_points)
@@ -109,13 +110,15 @@ class TestQuantizerExtremes:
 
 class TestSecondJLDimension:
     def test_explicit_second_dimension_respected(self, high_dim_points):
-        report = repro.JLFSSJLPipeline(
+        report = repro.create_pipeline(
+            "jl-fss-jl",
             k=2, seed=0, coreset_size=60, jl_dimension=40, second_jl_dimension=10
         ).run(high_dim_points)
         assert report.summary_dimension == 10
 
     def test_second_dimension_capped_by_first(self, high_dim_points):
-        report = repro.JLFSSJLPipeline(
+        report = repro.create_pipeline(
+            "jl-fss-jl",
             k=2, seed=0, coreset_size=60, jl_dimension=20, second_jl_dimension=400
         ).run(high_dim_points)
         assert report.summary_dimension == 20

@@ -30,10 +30,11 @@ class TestSingleSourceEndToEnd:
         context = repro.EvaluationContext.build(points, k=2, n_init=5, seed=0)
 
         nr = repro.evaluate_report(
-            repro.NoReductionPipeline(k=2, seed=1).run(points), context
+            repro.create_pipeline("nr", k=2, seed=1).run(points), context
         )
         alg3 = repro.evaluate_report(
-            repro.JLFSSJLPipeline(
+            repro.create_pipeline(
+                "jl-fss-jl",
                 k=2, seed=1, coreset_size=200, jl_dimension=80
             ).run(points),
             context,
@@ -46,10 +47,9 @@ class TestSingleSourceEndToEnd:
         points, _ = mnist_like_small
         context = repro.EvaluationContext.build(points, k=2, n_init=5, seed=0)
         costs = {}
-        for cls in (repro.FSSPipeline, repro.JLFSSPipeline, repro.FSSJLPipeline,
-                    repro.JLFSSJLPipeline):
-            report = cls(k=2, seed=3, coreset_size=200).run(points)
-            costs[cls.__name__] = repro.evaluate_report(report, context).normalized_cost
+        for name in ("fss", "jl-fss", "fss-jl", "jl-fss-jl"):
+            report = repro.create_pipeline(name, k=2, seed=3, coreset_size=200).run(points)
+            costs[name] = repro.evaluate_report(report, context).normalized_cost
         assert all(c < 2.0 for c in costs.values()), costs
 
     def test_quantization_reduces_bits_without_hurting_quality(self, neurips_like_small):
@@ -57,8 +57,9 @@ class TestSingleSourceEndToEnd:
         without compromising solution quality."""
         points, _ = neurips_like_small
         context = repro.EvaluationContext.build(points, k=2, n_init=5, seed=0)
-        plain = repro.JLFSSPipeline(k=2, seed=4, coreset_size=150).run(points)
-        quantized = repro.JLFSSPipeline(
+        plain = repro.create_pipeline("jl-fss", k=2, seed=4, coreset_size=150).run(points)
+        quantized = repro.create_pipeline(
+            "jl-fss",
             k=2, seed=4, coreset_size=150, quantizer=repro.RoundingQuantizer(10)
         ).run(points)
         plain_eval = repro.evaluate_report(plain, context)
@@ -74,8 +75,8 @@ class TestMultiSourceEndToEnd:
         points, _ = neurips_like_small
         context = repro.EvaluationContext.build(points, k=2, n_init=5, seed=0)
         kwargs = dict(k=2, seed=5, total_samples=120, pca_rank=10)
-        bklw = repro.BKLWPipeline(**kwargs).run_on_dataset(points, 5, partition_seed=9)
-        alg4 = repro.JLBKLWPipeline(jl_dimension=150, **kwargs).run_on_dataset(
+        bklw = repro.create_pipeline("bklw", **kwargs).run_on_dataset(points, 5, partition_seed=9)
+        alg4 = repro.create_pipeline("jl-bklw", jl_dimension=150, **kwargs).run_on_dataset(
             points, 5, partition_seed=9
         )
         bklw_eval = repro.evaluate_report(bklw, context)
@@ -87,11 +88,11 @@ class TestMultiSourceEndToEnd:
         points, _ = mnist_like_small
         runner = ExperimentRunner(points, k=2, monte_carlo_runs=2, seed=0, reference_n_init=3)
         single = runner.run_single_source({
-            "FSS": lambda s: repro.FSSPipeline(k=2, seed=s, coreset_size=120),
-            "JL+FSS": lambda s: repro.JLFSSPipeline(k=2, seed=s, coreset_size=120),
+            "FSS": lambda s: repro.create_pipeline("fss", k=2, seed=s, coreset_size=120),
+            "JL+FSS": lambda s: repro.create_pipeline("jl-fss", k=2, seed=s, coreset_size=120),
         })
         multi = runner.run_multi_source({
-            "BKLW": lambda s: repro.BKLWPipeline(k=2, seed=s, total_samples=80, pca_rank=8),
+            "BKLW": lambda s: repro.create_pipeline("bklw", k=2, seed=s, total_samples=80, pca_rank=8),
         }, num_sources=4)
         summary = single.summary()
         assert set(summary) == {"FSS", "JL+FSS"}
@@ -116,7 +117,8 @@ class TestConfigurationIntegration:
             use_paper_constants=False, coreset_cardinality=200, coreset_dimension=40,
         )
         context = repro.EvaluationContext.build(points, k=2, n_init=5, seed=0)
-        pipeline = repro.JLFSSJLPipeline(
+        pipeline = repro.create_pipeline(
+            "jl-fss-jl",
             k=2, seed=6, coreset_size=200,
             quantizer=repro.RoundingQuantizer(config.significant_bits),
         )

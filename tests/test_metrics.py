@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.pipelines import JLFSSPipeline, NoReductionPipeline
-from repro.core.distributed_pipelines import BKLWPipeline
+from repro.core.registry import create_pipeline
 from repro.metrics.evaluation import EvaluationContext, evaluate_report
 from repro.metrics.experiment import (
     AlgorithmSummary,
@@ -29,14 +28,14 @@ class TestEvaluationContext:
         assert context.reference_cost > 0.0
 
     def test_evaluate_report_normalized_cost_at_least_one_for_reference(self, context):
-        report = JLFSSPipeline(k=3, seed=1, coreset_size=150).run(context.points)
+        report = create_pipeline("jl-fss", k=3, seed=1, coreset_size=150).run(context.points)
         evaluation = evaluate_report(report, context)
         assert evaluation.normalized_cost >= 0.95  # small slack for solver noise
         assert evaluation.normalized_communication < 1.0
         assert evaluation.algorithm == report.algorithm
 
     def test_nr_evaluation_is_baseline(self, context):
-        report = NoReductionPipeline(k=3, seed=2).run(context.points)
+        report = create_pipeline("nr", k=3, seed=2).run(context.points)
         evaluation = evaluate_report(report, context)
         assert evaluation.normalized_communication == pytest.approx(1.0)
 
@@ -56,7 +55,7 @@ class TestExperimentResultAggregation:
     def test_summary_and_table(self, context):
         result = ExperimentResult()
         for seed in range(3):
-            report = JLFSSPipeline(k=3, seed=seed, coreset_size=100).run(context.points)
+            report = create_pipeline("jl-fss", k=3, seed=seed, coreset_size=100).run(context.points)
             result.add("JL+FSS", evaluate_report(report, context))
         summary = result.summary()["JL+FSS"]
         assert isinstance(summary, AlgorithmSummary)
@@ -72,7 +71,7 @@ class TestExperimentResultAggregation:
 
     def test_missing_label_error_lists_available(self, context):
         result = ExperimentResult()
-        report = JLFSSPipeline(k=3, seed=0, coreset_size=100).run(context.points)
+        report = create_pipeline("jl-fss", k=3, seed=0, coreset_size=100).run(context.points)
         result.add("JL+FSS", evaluate_report(report, context))
         with pytest.raises(KeyError, match="JL\\+FSS"):
             result.metric_samples("nope", "normalized_cost")
@@ -81,7 +80,7 @@ class TestExperimentResultAggregation:
         # A typo used to surface as a bare AttributeError from getattr;
         # now it's a KeyError naming the valid metric fields.
         result = ExperimentResult()
-        report = JLFSSPipeline(k=3, seed=0, coreset_size=100).run(context.points)
+        report = create_pipeline("jl-fss", k=3, seed=0, coreset_size=100).run(context.points)
         result.add("JL+FSS", evaluate_report(report, context))
         with pytest.raises(KeyError, match="normalized_cost"):
             result.metric_samples("JL+FSS", "normalised_cost")
@@ -94,7 +93,7 @@ class TestExperimentRunner:
         points, _, _ = high_dim_blobs
         runner = ExperimentRunner(points, k=3, monte_carlo_runs=2, seed=0, reference_n_init=3)
         result = runner.run_single_source({
-            "JL+FSS": lambda seed: JLFSSPipeline(k=3, seed=seed, coreset_size=100),
+            "JL+FSS": lambda seed: create_pipeline("jl-fss", k=3, seed=seed, coreset_size=100),
         })
         samples = result.metric_samples("JL+FSS", "normalized_cost")
         assert samples.shape == (2,)
@@ -104,7 +103,7 @@ class TestExperimentRunner:
         points, _, _ = high_dim_blobs
         runner = ExperimentRunner(points, k=3, monte_carlo_runs=2, seed=1, reference_n_init=3)
         result = runner.run_multi_source(
-            {"BKLW": lambda seed: BKLWPipeline(k=3, seed=seed, total_samples=60, pca_rank=6)},
+            {"BKLW": lambda seed: create_pipeline("bklw", k=3, seed=seed, total_samples=60, pca_rank=6)},
             num_sources=3,
         )
         assert result.metric_samples("BKLW", "normalized_cost").shape == (2,)
@@ -114,9 +113,9 @@ class TestExperimentRunner:
         runner = ExperimentRunner(points, k=3, monte_carlo_runs=1, seed=2, reference_n_init=2)
         with pytest.raises(TypeError):
             runner.run_single_source({
-                "BKLW": lambda seed: BKLWPipeline(k=3, seed=seed, total_samples=50),
+                "BKLW": lambda seed: create_pipeline("bklw", k=3, seed=seed, total_samples=50),
             })
         with pytest.raises(TypeError):
             runner.run_multi_source({
-                "JL+FSS": lambda seed: JLFSSPipeline(k=3, seed=seed),
+                "JL+FSS": lambda seed: create_pipeline("jl-fss", k=3, seed=seed),
             }, num_sources=2)

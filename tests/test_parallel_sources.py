@@ -11,12 +11,7 @@ order-independence with ``jobs=1`` vs ``jobs=4``.
 import numpy as np
 import pytest
 
-from repro.core.distributed_pipelines import (
-    BKLWPipeline,
-    DistributedNoReductionPipeline,
-    JLBKLWPipeline,
-)
-from repro.core.registry import create_pipeline
+from repro.core.registry import accepted_kwargs, create_pipeline
 from repro.datasets import make_gaussian_mixture
 from repro.distributed.partition import partition_dataset
 from repro.quantization.rounding import RoundingQuantizer
@@ -79,14 +74,14 @@ class TestParallelMap:
 
 
 @pytest.mark.parametrize(
-    "pipeline_cls, kwargs",
+    "name, kwargs",
     [
-        (DistributedNoReductionPipeline, dict(k=3)),
-        (DistributedNoReductionPipeline, dict(k=3, quantizer=RoundingQuantizer(8))),
-        (BKLWPipeline, dict(k=3, total_samples=60, pca_rank=6)),
-        (JLBKLWPipeline, dict(k=3, total_samples=60, pca_rank=6, jl_dimension=12)),
+        ("nr-distributed", dict(k=3)),
+        ("nr-distributed", dict(k=3, quantizer=RoundingQuantizer(8))),
+        ("bklw", dict(k=3, total_samples=60, pca_rank=6)),
+        ("jl-bklw", dict(k=3, total_samples=60, pca_rank=6, jl_dimension=12)),
         (
-            JLBKLWPipeline,
+            "jl-bklw",
             dict(
                 k=3,
                 total_samples=60,
@@ -99,11 +94,11 @@ class TestParallelMap:
     ids=["nr", "nr-qt", "bklw", "jl-bklw", "jl-bklw-qt"],
 )
 class TestDistributedOrderIndependence:
-    def test_jobs_1_vs_4_identical(self, shards, pipeline_cls, kwargs):
-        sequential = pipeline_cls(seed=0, jobs=1, **kwargs).run(
+    def test_jobs_1_vs_4_identical(self, shards, name, kwargs):
+        sequential = create_pipeline(name, seed=0, jobs=1, **kwargs).run(
             [s.copy() for s in shards]
         )
-        parallel = pipeline_cls(seed=0, jobs=4, **kwargs).run(
+        parallel = create_pipeline(name, seed=0, jobs=4, **kwargs).run(
             [s.copy() for s in shards]
         )
         _reports_identical(sequential, parallel)
@@ -178,7 +173,9 @@ class TestRegistryJobsKnob:
         assert engine.jobs == 2
 
     def test_single_source_factory_ignores_jobs(self):
-        # Single-source pipelines have one source; the knob is filtered out
-        # (deliberate lenient filtering; strict=True would raise).
-        pipeline = create_pipeline("fss", k=2, jobs=4, strict=False)
-        assert pipeline is not None
+        # Single-source pipelines have one source, so jobs is not in their
+        # kind's set: a caller with one merged config drops it, and passing
+        # it anyway is an error rather than a silent drop.
+        assert "jobs" not in accepted_kwargs("fss")
+        with pytest.raises(TypeError, match="jobs"):
+            create_pipeline("fss", k=2, jobs=4)

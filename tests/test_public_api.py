@@ -32,19 +32,8 @@ class TestPublicAPI:
         ):
             importlib.import_module(module)
 
-    def test_pipeline_classes_are_pipelines(self):
-        from repro.core.pipelines import SingleSourcePipeline
-        from repro.core.distributed_pipelines import MultiSourcePipeline
-
-        for cls in (repro.FSSPipeline, repro.JLFSSPipeline, repro.FSSJLPipeline,
-                    repro.JLFSSJLPipeline, repro.NoReductionPipeline):
-            assert issubclass(cls, SingleSourcePipeline)
-        for cls in (repro.BKLWPipeline, repro.JLBKLWPipeline,
-                    repro.DistributedNoReductionPipeline):
-            assert issubclass(cls, MultiSourcePipeline)
-
     def test_docstrings_present_on_public_classes(self):
-        for name in ("JLFSSPipeline", "FSSCoreset", "JLProjection",
+        for name in ("StagePipeline", "FSSCoreset", "JLProjection",
                      "RoundingQuantizer", "WeightedKMeans", "EdgeCluster"):
             obj = getattr(repro, name)
             assert obj.__doc__ and len(obj.__doc__.strip()) > 20, name

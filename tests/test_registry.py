@@ -5,8 +5,8 @@ import pytest
 
 from repro.core import registry
 from repro.core.engine import DistributedStagePipeline, StagePipeline
-from repro.core.pipelines import NoReductionPipeline
 from repro.cli import build_parser, run
+from repro.stages.distributed import BKLWStage
 from repro.metrics import ExperimentRunner
 
 SEED_ALGORITHMS = {
@@ -30,36 +30,69 @@ class TestRegistry:
     def test_create_builds_fresh_instances(self):
         first = registry.create_pipeline("nr", k=2, seed=0)
         second = registry.create_pipeline("nr", k=2, seed=0)
-        assert isinstance(first, NoReductionPipeline)
+        assert isinstance(first, StagePipeline)
+        assert first.stages == []
         assert first is not second
 
-    def test_create_filters_foreign_kwargs(self):
-        # A merged experiment config passes both kinds' arguments; each
-        # factory receives only what it accepts (strict=False opts into
-        # lenient filtering without the deprecation warning).
+    @pytest.mark.parametrize("name, report_name, multi_source", [
+        ("nr", "NR", False),
+        ("fss", "FSS", False),
+        ("jl-fss", "JL+FSS (Alg1)", False),
+        ("fss-jl", "FSS+JL (Alg2)", False),
+        ("jl-fss-jl", "JL+FSS+JL (Alg3)", False),
+        ("nr-distributed", "NR (distributed)", True),
+        ("bklw", "BKLW", True),
+        ("jl-bklw", "JL+BKLW (Alg4)", True),
+    ])
+    def test_paper_report_names(self, blob_points, name, report_name, multi_source):
+        # Result stores, sweep tables and the benchmark tables key on these
+        # strings.
         pipeline = registry.create_pipeline(
-            "bklw", strict=False, k=2, seed=0, coreset_size=50,
-            total_samples=40, second_jl_dimension=5,
+            name, k=2, seed=0, pca_rank=3, jl_dimension=4
         )
-        assert pipeline.total_samples == 40
+        assert pipeline.name == report_name
+        if multi_source:
+            assert isinstance(pipeline, DistributedStagePipeline)
+            report = pipeline.run_on_dataset(
+                blob_points, num_sources=2, partition_seed=0
+            )
+        else:
+            assert isinstance(pipeline, StagePipeline)
+            report = pipeline.run(blob_points)
+        assert report.algorithm == report_name
+
+    def test_create_filters_foreign_kwargs(self):
+        # A merged experiment config covers both kinds' arguments; the
+        # caller passes each kind its accepted subset, and every geometry
+        # value reaches the stage it configures.
+        merged = dict(k=2, seed=0, coreset_size=50, total_samples=40,
+                      second_jl_dimension=5)
+        accepted = registry.accepted_kwargs("bklw")
+        pipeline = registry.create_pipeline(
+            "bklw", **{key: value for key, value in merged.items() if key in accepted}
+        )
+        (stage,) = pipeline.stages
+        assert isinstance(stage, BKLWStage)
+        assert stage.total_samples == 40
 
     def test_create_strict_rejects_unknown_kwargs(self):
         # The silent-kwarg-drop footgun: a typo like jl_dim=20 used to run
-        # the wrong experiment without a warning.  strict=True names the
+        # the wrong experiment without a warning.  The error names the
         # unknown keys and the accepted set for the kind.
         with pytest.raises(TypeError) as excinfo:
-            registry.create_pipeline("jl-fss", k=2, jl_dim=20, strict=True)
+            registry.create_pipeline("jl-fss", k=2, jl_dim=20)
         message = str(excinfo.value)
         assert "jl_dim" in message
         assert "jl_dimension" in message  # the accepted set is listed
         assert "single-source" in message
 
     def test_create_strict_by_default(self):
-        # The PR-5 deprecation completed: unknown kwargs raise without an
-        # explicit strict=True, and the error points at the opt-out.
-        with pytest.raises(TypeError, match="jl_dim") as excinfo:
-            registry.create_pipeline("jl-fss", k=2, jl_dim=20)
-        assert "strict=False" in str(excinfo.value)
+        # There is no lenient mode left to opt into: ``strict`` is itself
+        # an unknown keyword, and foreign kwargs always raise.
+        with pytest.raises(TypeError, match="strict"):
+            registry.create_pipeline("jl-fss", k=2, strict=False)
+        with pytest.raises(TypeError, match="total_samples"):
+            registry.create_pipeline("jl-fss", k=2, total_samples=40)
 
     def test_accepted_kwargs_and_kind(self):
         assert registry.factory_kind("fss") == "single-source"
@@ -75,7 +108,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
-            registry.register_pipeline("nr", NoReductionPipeline)
+            registry.register_pipeline("nr", registry.get_spec("nr").factory)
 
     def test_registered_names_filter(self):
         multi = registry.registered_names(multi_source=True)
@@ -83,12 +116,6 @@ class TestRegistry:
         assert "bklw" in multi and "bklw" not in single
         assert "jl-fss" in single and "jl-fss" not in multi
 
-    def test_make_stage_pipeline_dispatch(self):
-        assert isinstance(registry.make_stage_pipeline([], k=2), StagePipeline)
-        assert isinstance(
-            registry.make_stage_pipeline([], k=2, multi_source=True),
-            DistributedStagePipeline,
-        )
 
 
 class TestNovelCompositionsSmoke:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import StagePipeline, encode_for_wire
+from repro.core.engine import DistributedStagePipeline, StagePipeline, encode_for_wire
+from repro.core.registry import create_pipeline
+from repro.core.streaming import StreamingEngine
 from repro.stages import (
     FSSStage,
     JLStage,
@@ -168,9 +170,7 @@ class TestAdHocCompositions:
 
     def test_pca_ss_matches_fss_wire_cost(self, high_dim_points):
         """PCA+SS recomposes FSS from primitives: identical wire geometry."""
-        from repro.core.pipelines import FSSPipeline
-
-        fss = FSSPipeline(k=3, seed=0, coreset_size=40, pca_rank=6).run(high_dim_points)
+        fss = create_pipeline("fss", k=3, seed=0, coreset_size=40, pca_rank=6).run(high_dim_points)
         recomposed = StagePipeline(
             [PCAStage(6), SensitivityStage(40)], k=3, seed=0, name="PCA+SS"
         ).run(high_dim_points)
@@ -190,6 +190,9 @@ class TestAdHocCompositions:
         assert report.quantizer_bits == 8
         assert report.communication_bits < report.communication_scalars * 64
 
-    def test_stageless_pipeline_requires_stages(self, high_dim_points):
-        with pytest.raises(NotImplementedError):
-            StagePipeline(k=3).run(high_dim_points)
+    def test_stageless_pipeline_requires_stages(self):
+        # The composition is each engine's only stage source: omitting it
+        # is a construction error, not a deferred failure at run time.
+        for engine_cls in (StagePipeline, DistributedStagePipeline, StreamingEngine):
+            with pytest.raises(TypeError, match="stages"):
+                engine_cls(k=3)

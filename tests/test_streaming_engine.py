@@ -189,17 +189,22 @@ class TestRegistryIntegration:
 
     def test_create_pipeline_filters_streaming_kwargs(self, mixture):
         points, _ = mixture
-        engine = registry.create_pipeline(
-            "stream-jl-ss",
-            strict=False,
+        merged = dict(
             k=3,
             coreset_size=50,
             jl_dimension=8,
             batch_size=500,
-            total_samples=999,  # multi-source-only kwarg: must be ignored
+            total_samples=999,  # multi-source-only kwarg: not a streaming knob
             seed=2,
         )
+        accepted = registry.accepted_kwargs("stream-jl-ss")
+        assert "total_samples" not in accepted
+        engine = registry.create_pipeline(
+            "stream-jl-ss",
+            **{key: value for key, value in merged.items() if key in accepted},
+        )
         assert isinstance(engine, StreamingEngine)
+        assert engine.batch_size == 500
         report = engine.run([points[:1500]])
         assert report.summary_dimension == 8
 

@@ -5,7 +5,8 @@ The engine simulates exactly-once delivery, but the real wire
 retries can arrive after newer updates.  These tests pin the fold layer's
 contract — duplicates and stale reorders are no-ops, gaps are typed
 rejections, and watermarks survive snapshot/restore — so no delivery
-schedule can change a query answer.
+schedule can change a query answer.  The contract tests run against both
+fold owners: the server and a topology aggregator.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.streaming.server import (
     UpdateGapError,
 )
 from repro.streaming.source import StreamingSource
+from repro.topology.aggregator import AggregatorNode
 from repro.utils.random import as_generator
 
 
@@ -61,73 +63,126 @@ def make_server(seed: int = 17) -> StreamingServer:
     return server
 
 
+def make_aggregator(seed: int = 17) -> AggregatorNode:
+    aggregator = AggregatorNode(
+        "agg-1-0", "server", 1, UniformStage(12),
+        StageContext(k=2, epsilon=0.1, delta=0.1, rng=as_generator(seed)),
+        SimulatedNetwork(),
+    )
+    aggregator.register("source-0")
+    return aggregator
+
+
+def fold_state(owner):
+    """Everything a fold may change, in a comparable form."""
+    if isinstance(owner, StreamingServer):
+        return canonical(owner.snapshot())
+    return (
+        {key: id(bucket) for key, bucket in owner._buckets.items()},
+        dict(owner._watermarks),
+        owner.updates_folded,
+        owner._dirty,
+    )
+
+
+#: Both fold owners share one delivery contract; the contract tests below
+#: run against each of them.
+FOLD_OWNERS = (make_server, make_aggregator)
+
+
 class TestIdempotence:
     def test_duplicate_fold_is_a_noop(self, monkeypatch):
         monkeypatch.setenv("REPRO_FROZEN_CLOCK", "1")
         updates = make_updates(4)
+        for make_owner in FOLD_OWNERS:
+            once, twice = make_owner(), make_owner()
+            for update in updates:
+                assert once.fold(update) is FoldResult.APPLIED
+            for update in updates:
+                assert twice.fold(update) is FoldResult.APPLIED
+                # At-least-once delivery: every update immediately resent.
+                assert twice.fold(update) is FoldResult.DUPLICATE
+            # Byte-identical state, not merely equivalent.
+            assert fold_state(twice) == fold_state(once)
+            assert twice.updates_folded == once.updates_folded == 4
+
+    def test_duplicate_fold_leaves_server_answers_unchanged(self):
+        updates = make_updates(4)
         once, twice = make_server(), make_server()
         for update in updates:
-            assert once.fold(update) is FoldResult.APPLIED
-        for update in updates:
-            assert twice.fold(update) is FoldResult.APPLIED
-            # At-least-once delivery: every update immediately resent.
-            assert twice.fold(update) is FoldResult.DUPLICATE
-        # Byte-identical state, not merely equivalent.
-        assert canonical(twice.snapshot()) == canonical(once.snapshot())
-        assert twice.updates_folded == once.updates_folded == 4
+            once.fold(update)
+            twice.fold(update)
+            twice.fold(update)
         mine, _, _ = once.query()
         theirs, _, _ = twice.query()
         np.testing.assert_array_equal(theirs.centers, mine.centers)
         assert theirs.cost == mine.cost
 
+    def test_duplicate_fold_leaves_aggregator_clean(self):
+        (update,) = make_updates(1)
+        aggregator = make_aggregator()
+        assert aggregator.fold(update) is FoldResult.APPLIED
+        assert aggregator.emit(0).added
+        assert aggregator.fold(update) is FoldResult.DUPLICATE
+        # Nothing changed, so the next hop ships an empty update.
+        quiet = aggregator.emit(1)
+        assert quiet.added == [] and quiet.retired_ids == []
+        assert aggregator.merges == 1
+
     def test_stale_reorder_cannot_resurrect_retired_buckets(self):
         # A sliding window retires buckets; a delayed retransmission of the
         # update that *added* them must not bring them back.
         updates = make_updates(6, window=2)
-        server = make_server()
-        for update in updates:
-            server.fold(update)
-        live_before = server.live_bucket_count
-        snap_before = canonical(server.snapshot())
-        for stale in updates[:4]:  # every already-superseded update replayed
-            assert server.fold(stale) is FoldResult.DUPLICATE
-        assert server.live_bucket_count == live_before
-        assert canonical(server.snapshot()) == snap_before
+        for make_owner in FOLD_OWNERS:
+            owner = make_owner()
+            for update in updates:
+                owner.fold(update)
+            live_before = owner.live_bucket_count
+            state_before = fold_state(owner)
+            for stale in updates[:4]:  # every already-superseded update replayed
+                assert owner.fold(stale) is FoldResult.DUPLICATE
+            assert owner.live_bucket_count == live_before
+            assert fold_state(owner) == state_before
 
     def test_updates_folded_counts_only_applied(self):
         updates = make_updates(3)
-        server = make_server()
-        for update in updates:
-            server.fold(update)
-            server.fold(update)
-        assert server.updates_folded == 3
+        for make_owner in FOLD_OWNERS:
+            owner = make_owner()
+            for update in updates:
+                owner.fold(update)
+                owner.fold(update)
+            assert owner.updates_folded == 3
 
 
 class TestRejections:
     def test_gap_is_rejected_and_state_untouched(self):
         updates = make_updates(5)
-        server = make_server()
-        server.fold(updates[0])
-        snap = canonical(server.snapshot())
-        with pytest.raises(UpdateGapError) as excinfo:
-            server.fold(updates[3])
-        assert excinfo.value.expected == 1
-        assert excinfo.value.got == 3
-        assert excinfo.value.source_id == "source-0"
-        assert isinstance(excinfo.value, FoldRejectedError)
-        assert canonical(server.snapshot()) == snap
-        # The client replays from `expected` and the stream heals.
-        for update in updates[1:]:
-            assert server.fold(update) is FoldResult.APPLIED
+        for make_owner in FOLD_OWNERS:
+            owner = make_owner()
+            owner.fold(updates[0])
+            state = fold_state(owner)
+            with pytest.raises(UpdateGapError) as excinfo:
+                owner.fold(updates[3])
+            assert excinfo.value.expected == 1
+            assert excinfo.value.got == 3
+            assert excinfo.value.source_id == "source-0"
+            assert isinstance(excinfo.value, FoldRejectedError)
+            assert fold_state(owner) == state
+            # The client replays from `expected` and the stream heals.
+            for update in updates[1:]:
+                assert owner.fold(update) is FoldResult.APPLIED
 
     def test_unregistered_source_is_rejected(self):
         (update,) = make_updates(1, source_id="source-7")
-        server = make_server()
-        with pytest.raises(UnknownSourceError) as excinfo:
-            server.fold(update)
-        assert excinfo.value.source_id == "source-7"
-        assert excinfo.value.registered == ("source-0",)
-        assert server.updates_folded == 0
+        for make_owner in FOLD_OWNERS:
+            owner = make_owner()
+            state = fold_state(owner)
+            with pytest.raises(UnknownSourceError) as excinfo:
+                owner.fold(update)
+            assert excinfo.value.source_id == "source-7"
+            assert excinfo.value.registered == ("source-0",)
+            assert owner.updates_folded == 0
+            assert fold_state(owner) == state
 
     def test_register_is_idempotent_and_preserves_watermark(self):
         updates = make_updates(2)

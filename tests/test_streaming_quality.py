@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.pipelines import FSSPipeline
+from repro.core.registry import create_pipeline
 from repro.core.streaming import StreamingEngine
 from repro.datasets import make_gaussian_mixture
 from repro.kmeans.cost import kmeans_cost
@@ -57,7 +57,7 @@ def streamed_report(mixture):
 def test_streaming_fss_cost_within_10_percent_of_one_shot(
     mixture, context, streamed_report
 ):
-    one_shot = FSSPipeline(k=K, coreset_size=CORESET_SIZE, seed=42).run(mixture)
+    one_shot = create_pipeline("fss", k=K, coreset_size=CORESET_SIZE, seed=42).run(mixture)
     one_shot_cost = normalized(mixture, one_shot.centers, context)
     streamed_cost = normalized(mixture, streamed_report.centers, context)
     assert streamed_cost <= one_shot_cost * 1.10, (streamed_cost, one_shot_cost)
