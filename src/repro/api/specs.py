@@ -364,7 +364,7 @@ class TopologySpec:
 
     def to_overrides(self) -> Dict[str, Any]:
         """The engine keyword arguments this topology adds (empty for the
-        star — absence *is* the flat fold, keeping old runs bit-identical)."""
+        star, the engine default — so star specs keep their old hashes)."""
         if self.kind == "star":
             return {}
         return {"topology": "tree", "fan_in": self.fan_in}

@@ -52,7 +52,6 @@ from repro import api
 from repro.core import registry
 from repro.datasets import load_benchmark_dataset
 from repro.distributed.conditions import FaultPlan, NetworkCondition
-from repro.quantization.rounding import RoundingQuantizer
 
 
 #: Where `repro sweep` keeps its stage cache unless --cache-dir overrides it
@@ -700,39 +699,29 @@ def run_stream(args: argparse.Namespace) -> Dict[str, float]:
     from repro.metrics.evaluation import EvaluationContext, evaluate_report
     from repro.quantization.bits import DOUBLE_PRECISION_BITS
 
-    if args.topology == "tree" and args.fan_in is None:
-        raise SystemExit("--topology tree requires --fan-in")
-    if args.topology == "star" and args.fan_in is not None:
-        raise SystemExit("--fan-in applies only to --topology tree")
-    points, spec = load_benchmark_dataset(args.dataset, n=args.n, d=args.d, seed=args.seed)
-    quantizer: Optional[RoundingQuantizer] = None
-    if args.quantize_bits is not None and args.quantize_bits < 53:
-        quantizer = RoundingQuantizer(args.quantize_bits)
     try:
-        # create_pipeline rejects a knob the composition does not accept
-        # instead of silently dropping it.
-        engine = registry.create_pipeline(
-            args.algorithm,
+        overrides = api.PipelineConfig(
+            algorithm=args.algorithm,
             k=args.k,
             coreset_size=args.coreset_size,
             pca_rank=args.pca_rank,
             jl_dimension=args.jl_dimension,
-            quantizer=quantizer,
+            quantize_bits=args.quantize_bits,
             batch_size=args.batch_size,
             window=args.window,
             query_every=args.query_every,
-            seed=args.seed,
             jobs=getattr(args, "jobs", None),
-            topology=(
-                "tree"
-                if args.topology is None and args.fan_in is not None
-                else args.topology
-            ),
-            fan_in=args.fan_in,
+        ).to_overrides()
+        topology = _topology_spec_from_args(args)
+        if topology is not None:
+            overrides.update(topology.to_overrides())
+        engine = registry.create_pipeline(
+            args.algorithm, k=args.k, seed=args.seed, **overrides,
             **_network_settings(args),
         )
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise SystemExit(f"invalid flags for {args.algorithm}: {exc}") from None
+    points, spec = load_benchmark_dataset(args.dataset, n=args.n, d=args.d, seed=args.seed)
     topology_note = (
         f", topology=tree(fan_in={args.fan_in})" if args.fan_in is not None else ""
     )
@@ -913,25 +902,24 @@ def run_client(args: argparse.Namespace) -> Dict[str, float]:
     from repro.datasets.streams import iter_batches
     from repro.serve.client import ServeClient, ServeError, ServeSource
 
-    points, spec = load_benchmark_dataset(args.dataset, n=args.n, d=args.d,
-                                          seed=args.seed)
-    quantizer: Optional[RoundingQuantizer] = None
-    if args.quantize_bits is not None and args.quantize_bits < 53:
-        quantizer = RoundingQuantizer(args.quantize_bits)
     try:
-        engine = registry.create_pipeline(
-            args.algorithm,
+        overrides = api.PipelineConfig(
+            algorithm=args.algorithm,
             k=args.k,
             coreset_size=args.coreset_size,
             pca_rank=args.pca_rank,
             jl_dimension=args.jl_dimension,
-            quantizer=quantizer,
+            quantize_bits=args.quantize_bits,
             batch_size=args.batch_size,
             window=args.window,
-            seed=args.seed,
+        ).to_overrides()
+        engine = registry.create_pipeline(
+            args.algorithm, k=args.k, seed=args.seed, **overrides
         )
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise SystemExit(f"invalid flags for {args.algorithm}: {exc}") from None
+    points, spec = load_benchmark_dataset(args.dataset, n=args.n, d=args.d,
+                                          seed=args.seed)
     batches = list(iter_batches(points, args.batch_size))
     if args.batches is not None:
         batches = batches[: args.batches]

@@ -75,8 +75,8 @@ class StreamingSource:
     window:
         Optional sliding window in batches, forwarded to the tree.
     receiver:
-        Fold target this source transmits to: the server (default, the
-        flat star) or a mid-tree aggregator id under a tree topology.
+        Fold target this source transmits to: its topology parent, the
+        server (default) or a mid-tree aggregator id.
     """
 
     def __init__(

@@ -8,8 +8,8 @@ fan_in, depth)`` — source ``i`` always lands on aggregator ``i // fan_in``
 of the first layer, and so on upward — so a fixed (topology, seed) pair
 reproduces bit-identical runs.
 
-The star is the degenerate tree with no aggregators; engines treat it as
-"no topology" and keep the exact flat code path.
+The star is the degenerate tree with no aggregators: every source's parent
+is the server, and engines deliver it through the same router as any tree.
 """
 
 from __future__ import annotations
@@ -273,10 +273,11 @@ def resolve_topology(
     topology: TopologyLike,
     fan_in: Optional[int],
     num_sources: int,
-) -> Optional[Topology]:
+) -> Topology:
     """Resolve an engine's ``(topology, fan_in)`` knobs against the actual
-    source count.  Returns ``None`` for the star (engines keep the exact
-    flat code path) and a validated :class:`Topology` otherwise.
+    source count into a validated :class:`Topology`.  ``None`` and
+    ``"star"`` give :meth:`Topology.star`, as does a ``"tree"`` whose
+    ``fan_in`` covers every source.
     """
     if isinstance(topology, Topology):
         if fan_in is not None:
@@ -288,16 +289,15 @@ def resolve_topology(
                 f"topology covers {topology.num_sources} sources but the "
                 f"run has {num_sources}"
             )
-        return None if topology.is_star else topology
+        return topology
     if topology is None or topology == "star":
         if fan_in is not None:
             raise ValueError("fan_in requires topology='tree'")
-        return None
+        return Topology.star(num_sources)
     if topology == "tree":
         if fan_in is None:
             raise ValueError("topology='tree' requires fan_in")
-        built = Topology.balanced(num_sources, fan_in)
-        return None if built.is_star else built
+        return Topology.balanced(num_sources, fan_in)
     raise ValueError(
         f"unknown topology {topology!r}: expected 'star', 'tree', or a "
         f"Topology instance"

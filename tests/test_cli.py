@@ -119,6 +119,25 @@ class TestStreamSubcommand:
         row = run_stream(args)
         assert row["normalized_communication"] > 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--topology", "tree"],
+        ["--topology", "star", "--fan-in", "3"],
+    ])
+    def test_inconsistent_topology_flags_exit(self, flags):
+        args = build_stream_parser().parse_args(flags)
+        with pytest.raises(SystemExit, match="invalid flags"):
+            run_stream(args)
+
+    def test_bare_fan_in_runs_a_tree(self, capsys):
+        args = build_stream_parser().parse_args([
+            "--dataset", "mnist", "--n", "400", "--d", "20",
+            "--coreset-size", "20", "--batch-size", "50",
+            "--fan-in", "2", "--sources", "4", "--seed", "5",
+        ])
+        run_stream(args)
+        header = capsys.readouterr().out.splitlines()[0]
+        assert "topology=tree(fan_in=2)" in header
+
     def test_main_dispatches_stream(self):
         assert main([
             "stream", "--dataset", "mnist", "--n", "400", "--d", "25",

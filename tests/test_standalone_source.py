@@ -8,9 +8,11 @@ from repro.core.streaming import StreamingEngine
 from repro.datasets import make_gaussian_mixture
 from repro.datasets.streams import iter_batches
 from repro.distributed.network import SimulatedNetwork
+from repro.serve.protocol import encode_update
 from repro.stages.cr import FSSStage
 from repro.stages.dr import JLStage
 from repro.streaming.server import FoldResult, StreamingServer
+from repro.topology import Topology
 
 D = 12
 BATCH = 32
@@ -125,6 +127,18 @@ class TestGuards:
         twin.restore(snapshot)
         assert twin.batches_ingested == 3
         assert set(twin.tree.live_bucket_ids) == set(windowed.tree.live_bucket_ids)
+
+    @pytest.mark.parametrize(
+        "topology", [None, "star", Topology.star(4)], ids=["none", "star", "explicit"]
+    )
+    def test_star_topology_accepted(self, batches, topology):
+        source = make_engine(topology=topology).standalone_source(
+            "source-0", batches[0].shape
+        )
+        default = make_engine().standalone_source("source-0", batches[0].shape)
+        assert encode_update(source.ingest(batches[0], 0)) == encode_update(
+            default.ingest(batches[0], 0)
+        )
 
     def test_tree_topology_refused(self, batches):
         engine = make_engine(topology="tree", fan_in=2)

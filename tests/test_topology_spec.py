@@ -117,8 +117,8 @@ class TestSubtrees:
 
 class TestResolveTopology:
     def test_none_and_star_resolve_to_flat(self):
-        assert resolve_topology(None, None, 10) is None
-        assert resolve_topology("star", None, 10) is None
+        assert resolve_topology(None, None, 10) == Topology.star(10)
+        assert resolve_topology("star", None, 10) == Topology.star(10)
 
     def test_tree_requires_fan_in(self):
         with pytest.raises(ValueError, match="fan_in"):
@@ -133,7 +133,7 @@ class TestResolveTopology:
         assert topo == Topology.balanced(10, fan_in=3)
 
     def test_degenerate_tree_is_flat(self):
-        assert resolve_topology("tree", 16, 10) is None
+        assert resolve_topology("tree", 16, 10).is_star
 
     def test_explicit_topology_checked_against_source_count(self):
         topo = Topology.balanced(10, fan_in=3)

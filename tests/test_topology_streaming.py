@@ -57,6 +57,48 @@ class TestStarParity:
         np.testing.assert_array_equal(default.centers, degenerate.centers)
         assert "topology_hops" not in degenerate.details
 
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_pinned_lossy_windowed_star_with_faults(self, jobs):
+        # Uneven shards end at different steps, so ended sources' window
+        # advances share steps with live flushes under loss, dropout, a
+        # flaky link and a straggler.  The figures are pinned exactly.
+        sizes = [
+            5 * BATCH, 2 * BATCH + 9, 4 * BATCH, BATCH - 7, 3 * BATCH + 30, 5 * BATCH
+        ]
+        points, _, _ = make_gaussian_mixture(
+            n=sum(sizes), d=D, k=K, separation=6.0, seed=35
+        )
+        uneven = np.split(points, np.cumsum(sizes)[:-1])
+        plan = FaultPlan(
+            dropout={"source-2": 3},
+            flaky={"source-4": (1, 3)},
+            stragglers={"source-0": 2.0},
+        )
+        report = make_engine(
+            window=2, network="lossy", fault_plan=plan, jobs=jobs
+        ).run(uneven)
+        observed = (
+            report.communication_bits,
+            report.tag_scalars,
+            report.retransmissions,
+            report.messages_lost,
+            report.failed_sources,
+            report.details["num_batches"],
+        )
+        assert observed == (
+            181248,
+            {
+                "stream-points": 12090,
+                "stream-weights": 1059,
+                "stream-header": 115,
+                "stream-retire": 15,
+            },
+            15,
+            15,
+            1,
+            21,
+        )
+
 
 class TestTreeRuns:
     def test_tree_run_is_deterministic(self, shards):
