@@ -18,7 +18,10 @@ Protocol sequence
    engine: data-oblivious DR maps are deployment configuration.
 3. **Batch steps** — at step ``t`` every source ingests its ``t``-th batch
    (timed), updates its tree, and uplinks its bucket delta (metered, with a
-   per-step ledger so windowed accounting can drop expired batches).
+   per-step ledger so windowed accounting can drop expired batches).  The
+   step's same-shaped batches are compressed as one stacked ``(m, b, d)``
+   pass (:func:`~repro.streaming.source.compress_stacked`), bit-identical to
+   compressing each source alone.
 4. **Queries** — every ``query_every`` steps (and always at end-of-stream)
    the server merges live buckets, solves weighted k-means, and the engine
    lifts centers back; each query is recorded as a :class:`QuerySnapshot`.
@@ -54,7 +57,7 @@ from repro.stages.cr import resolve_coreset_size
 from repro.stages.dr import JLStage
 from repro.stages.qt import QuantizeStage
 from repro.streaming.server import StreamingServer
-from repro.streaming.source import StreamingSource
+from repro.streaming.source import StreamingSource, compress_stacked
 from repro.topology.aggregator import AggregatorNode
 from repro.topology.router import TopologyRouter
 from repro.topology.spec import Topology, TopologyLike, resolve_topology
@@ -134,9 +137,11 @@ class StreamingEngine(DistributedStagePipeline):
         Each source gets its own generator pre-derived from it, so results
         are independent of the execution schedule (``jobs``).
     jobs:
-        Worker threads for the per-source batch-compression steps (1 =
-        sequential, 0 = all cores, ``None`` = ``REPRO_JOBS``).  Reports are
-        identical for every value — only wall-clock changes.
+        Worker threads for the batch-compression steps: each step's stacked
+        group of same-shaped batches splits into at most ``jobs``
+        contiguous chunks, one per worker (1 = sequential, 0 = all cores,
+        ``None`` = ``REPRO_JOBS``).  Reports are identical for every value —
+        only wall-clock changes.
     network, fault_plan, retries, network_seed:
         Simulated-network condition, scripted faults, retry-budget override,
         and loss-seed override.  In streaming mode the fault plan's rounds
@@ -372,15 +377,12 @@ class StreamingEngine(DistributedStagePipeline):
                 arrivals.append(batch)
             if all(batch is None for batch in arrivals):
                 break
-            # Compute phase: compress this step's batches in parallel (tree
-            # updates and sampler draws touch only source-local state).
-            active = [
-                (source, check_matrix(batch, "batch"))
-                for source, batch in zip(sources, arrivals)
-                if batch is not None
-            ]
+            # Compute phase: one stacked compression per batch shape (tree
+            # updates and sampler draws touch only source-local state), each
+            # group split into contiguous chunks across the workers.
             parallel_map(
-                lambda sb: sb[0].compress(sb[1], t), active, self.jobs,
+                lambda chunk: compress_stacked(chunk[0], chunk[1], t),
+                self._stacked_chunks(sources, arrivals), self.jobs,
                 executor=executor,
             )
             # Transmission phase: serial, in source order — the metered
@@ -396,6 +398,24 @@ class StreamingEngine(DistributedStagePipeline):
                 queries.append(self._query(server, sources, network, ledger, t))
             t += 1
         return t
+
+    def _stacked_chunks(self, sources, arrivals) -> List[Tuple[list, np.ndarray]]:
+        """Group the step's arrivals by batch shape, in source order, and
+        split each group into at most ``jobs`` contiguous
+        ``(sources, (m, b, d) batches)`` chunks."""
+        groups: Dict[Tuple[int, int], list] = {}
+        for source, batch in zip(sources, arrivals):
+            if batch is not None:
+                batch = check_matrix(batch, "batch")
+                groups.setdefault(batch.shape, []).append((source, batch))
+        chunks = []
+        for members in groups.values():
+            for part in np.array_split(np.arange(len(members)), min(self.jobs, len(members))):
+                chunks.append((
+                    [members[i][0] for i in part],
+                    np.stack([members[i][1] for i in part]),
+                ))
+        return chunks
 
     def standalone_source(
         self,

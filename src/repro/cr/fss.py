@@ -20,20 +20,20 @@ and that JL+FSS avoids.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.cr.coreset import Coreset
-from repro.cr.sensitivity import SensitivitySampler, sensitivity_sample_size
-from repro.dr.pca import PCAProjection, pca_target_dimension
+from repro.cr.sensitivity import sensitivity_sample_size, stacked_sensitivity_sample
+from repro.dr.pca import PCAProjection, fit_and_project, pca_target_dimension
 from repro.utils.random import SeedLike, as_generator, derive_seed
 from repro.utils.validation import (
     check_fraction,
     check_matrix,
     check_positive_int,
+    check_weights,
 )
 
 
@@ -120,26 +120,46 @@ class FSSCoreset:
         """
         points = check_matrix(points, "points")
         n, d = points.shape
-        rank = self.resolved_rank(n, d)
-
-        pca = PCAProjection(
-            rank=rank,
-            approximate=self.approximate_svd,
-            seed=derive_seed(self._rng),
+        weights = check_weights(weights, n)
+        pcas, sampled, sample_weights, tails = stacked_fss(
+            points[None], weights[None], [self._rng], self.k,
+            self.resolved_size(n), self.resolved_rank(n, d), self.approximate_svd,
         )
-        pca.fit(points)
-        projected = pca.project_in_place(points)
-        tail_energy = pca.residual_energy(points)
-
-        sampler = SensitivitySampler(
-            k=self.k,
-            size=self.resolved_size(n),
-            seed=derive_seed(self._rng),
+        pca = pcas[0]
+        return FSSResult(
+            coreset=Coreset(sampled[0], sample_weights[0], shift=tails[0]),
+            pca=pca,
+            basis_scalars=d * pca.effective_rank,
         )
-        coreset = sampler.build(projected, weights=weights, shift=tail_energy)
-        basis_scalars = d * pca.effective_rank
-        return FSSResult(coreset=coreset, pca=pca, basis_scalars=basis_scalars)
 
     def __call__(self, points: np.ndarray, weights: Optional[np.ndarray] = None) -> Coreset:
         """Shorthand returning only the coreset."""
         return self.build(points, weights).coreset
+
+
+def stacked_fss(
+    points: np.ndarray,
+    weights: np.ndarray,
+    rngs,
+    k: int,
+    size: int,
+    rank: int,
+    approximate_svd: bool = False,
+):
+    """FSS over ``m`` stacked sources: one batched PCA, one stacked
+    sensitivity sample.
+
+    ``points`` is ``(m, n, d)`` and ``weights`` ``(m, n)``; source ``i``
+    draws its PCA and sampler seeds from ``rngs[i]`` in the order
+    :meth:`FSSCoreset.build` does (that build is the ``m = 1`` case).
+    Returns ``(pcas, sampled_points, sample_weights, tail_energies)``: each
+    source's fitted PCA and the points, weights and shift Δ of its coreset,
+    bit-identical to its own build.  Inputs are trusted.
+    """
+    pca_seeds = [derive_seed(rng) for rng in rngs]
+    pcas, projected, tails = fit_and_project(points, rank, approximate_svd, pca_seeds)
+    sampler_rngs = [as_generator(derive_seed(rng)) for rng in rngs]
+    sampled, sample_weights = stacked_sensitivity_sample(
+        projected, weights, sampler_rngs, k, size
+    )
+    return pcas, sampled, sample_weights, tails

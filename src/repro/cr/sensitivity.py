@@ -23,8 +23,7 @@ import numpy as np
 
 from repro.cr.coreset import Coreset
 from repro.kmeans.bicriteria import BicriteriaResult, bicriteria_approximation
-from repro.kmeans.cost import assign_to_centers
-from repro.utils.random import SeedLike, as_generator, weighted_indices
+from repro.utils.random import SeedLike, as_generator, stacked_weighted_indices
 from repro.utils.validation import (
     check_fraction,
     check_matrix,
@@ -108,34 +107,12 @@ class SensitivitySampler:
         ``p`` under ``B``.
         """
         points = check_matrix(points, "points")
-        n = points.shape[0]
-        weights = check_weights(weights, n)
-        bicriteria = bicriteria_approximation(
-            points, self.k, weights=weights, seed=self._rng
+        weights = check_weights(weights, points.shape[0])
+        scores, totals, bicriteria = _stacked_sensitivities(
+            points[None], weights[None], self.k, [self._rng]
         )
-        # The bicriteria run caches exactly the assignment this bound needs;
-        # recompute only if a caller handed in a result without the cache.
-        if bicriteria.squared_distances is not None:
-            labels, d2 = bicriteria.labels, bicriteria.squared_distances
-        else:
-            labels, d2 = assign_to_centers(points, bicriteria.centers)
-        weighted_d2 = weights * d2
-        total_cost = float(weighted_d2.sum())
-
-        cluster_weight = np.bincount(labels, weights=weights, minlength=bicriteria.size)
-        cluster_weight_per_point = cluster_weight[labels]
-        # Guard against empty / zero-weight clusters.
-        cluster_weight_per_point[cluster_weight_per_point <= 0] = 1.0
-
-        if total_cost <= 0:
-            # Degenerate dataset: every point sits on a bicriteria center, so
-            # only the cluster-mass term matters.
-            scores = weights / cluster_weight_per_point
-        else:
-            scores = weighted_d2 / total_cost + weights / cluster_weight_per_point
-        scores = np.maximum(scores, 1e-18)
         return SensitivityScores(
-            scores=scores, total=float(scores.sum()), bicriteria=bicriteria
+            scores=scores[0], total=float(totals[0]), bicriteria=bicriteria[0]
         )
 
     def build(
@@ -155,19 +132,77 @@ class SensitivitySampler:
             discarded PCA tail energy here).
         """
         points = check_matrix(points, "points")
-        n = points.shape[0]
-        weights = check_weights(weights, n)
-        size = min(self.size, n)
+        weights = check_weights(weights, points.shape[0])
+        sampled, sample_weights = stacked_sensitivity_sample(
+            points[None], weights[None], [self._rng], self.k, self.size,
+            self.deterministic_weights,
+        )
+        return Coreset(sampled[0], sample_weights[0], shift=shift)
 
-        scores = self.compute_sensitivities(points, weights)
-        probabilities = scores.scores / scores.total
-        indices = weighted_indices(self._rng, probabilities, size=size)
 
-        sample_weights = weights[indices] / (size * probabilities[indices])
-        if self.deterministic_weights:
-            total_input_weight = float(weights.sum())
-            current = float(sample_weights.sum())
-            if current > 0:
-                sample_weights = sample_weights * (total_input_weight / current)
+def stacked_sensitivity_sample(
+    points: np.ndarray,
+    weights: np.ndarray,
+    rngs,
+    k: int,
+    size: int,
+    deterministic_weights: bool = True,
+):
+    """Sensitivity-sample ``m`` stacked sources at once.
 
-        return Coreset(points[indices].copy(), sample_weights, shift=shift)
+    ``points`` is ``(m, n, d)`` and ``weights`` ``(m, n)``; source ``i``
+    draws from ``rngs[i]`` exactly what ``SensitivitySampler(k, size,
+    rngs[i]).build(points[i], weights[i])`` draws.  Returns the sampled
+    points ``(m, s, d)`` and their weights ``(m, s)``, bit-identical to the
+    coresets those builds produce: :meth:`SensitivitySampler.build` is the
+    ``m = 1`` case.  Inputs are trusted (the kernel-to-kernel call of FSS
+    and the CR stages).
+    """
+    m, n = weights.shape
+    size = min(size, n)
+    scores, totals, _ = _stacked_sensitivities(points, weights, k, rngs)
+    probabilities = scores / totals[:, None]
+    indices = stacked_weighted_indices(rngs, probabilities, size)
+
+    sample_weights = np.take_along_axis(weights, indices, axis=1) / (
+        size * np.take_along_axis(probabilities, indices, axis=1)
+    )
+    if deterministic_weights:
+        total_input_weight = weights.sum(axis=1)
+        current = sample_weights.sum(axis=1)
+        scale = current > 0
+        sample_weights[scale] = sample_weights[scale] * (
+            total_input_weight[scale] / current[scale]
+        )[:, None]
+    return points[np.arange(m)[:, None], indices], sample_weights
+
+
+def _stacked_sensitivities(points, weights, k: int, rngs):
+    """Sensitivity upper bounds of ``m`` stacked sources: returns
+    ``(scores (m, n), totals (m,), bicriteria results)``."""
+    m, n = weights.shape
+    bicriteria = bicriteria_approximation(points, k, weights=weights, seed=rngs)
+    labels = np.stack([b.labels for b in bicriteria])
+    weighted_d2 = weights * np.stack([b.squared_distances for b in bicriteria])
+    total_cost = weighted_d2.sum(axis=1)
+
+    # Offsetting each source's labels into its own bin range keeps every
+    # bin's summation order that of the one-source bincount.
+    width = max(b.size for b in bicriteria)
+    offsets = (np.arange(m) * width)[:, None]
+    cluster_weight = np.bincount(
+        (labels + offsets).ravel(), weights=weights.ravel(), minlength=m * width
+    )
+    cluster_weight_per_point = cluster_weight[labels + offsets]
+    # Guard against empty / zero-weight clusters.
+    cluster_weight_per_point[cluster_weight_per_point <= 0] = 1.0
+
+    # Degenerate source (total cost 0): every point sits on a bicriteria
+    # center, so only the cluster-mass term matters.
+    scores = weights / cluster_weight_per_point
+    spread = total_cost > 0
+    scores[spread] = (
+        weighted_d2[spread] / total_cost[spread, None] + scores[spread]
+    )
+    scores = np.maximum(scores, 1e-18)
+    return scores, scores.sum(axis=1), bicriteria

@@ -138,10 +138,14 @@ class JLProjection(DimensionalityReducer):
         return 0
 
     def transform(self, points: np.ndarray) -> np.ndarray:
-        points = check_matrix(points, "points", allow_empty=True)
-        if points.shape[1] != self._d:
+        """Project ``(n, d)`` points, or ``(m, n, d)`` stacked sources (the
+        trusted kernel form the stacked JL stage uses; every slice equals
+        its own 2-D product)."""
+        if np.ndim(points) != 3:
+            points = check_matrix(points, "points", allow_empty=True)
+        if points.shape[-1] != self._d:
             raise ValueError(
-                f"expected {self._d}-dimensional points, got {points.shape[1]}"
+                f"expected {self._d}-dimensional points, got {points.shape[-1]}"
             )
         return points @ self._matrix
 

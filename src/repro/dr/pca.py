@@ -60,16 +60,15 @@ class PCAProjection(DimensionalityReducer):
     def fit(self, points: np.ndarray) -> "PCAProjection":
         """Compute the top singular subspace of ``points``."""
         points = check_matrix(points, "points")
-        self._d = points.shape[1]
         rank = min(self._rank, min(points.shape))
-        if self._approximate:
-            _, s, vt = randomized_svd(points, rank, seed=self._seed)
-        else:
-            _, s, vt = safe_svd(points, full_matrices=False)
-            s, vt = s[:rank], vt[:rank]
-        self._basis = vt.T
-        self._singular_values = s
+        s, vt = _principal_subspaces(points[None], rank, self._approximate, [self._seed])
+        self._set_fit(s[0], vt[0], points.shape[1])
         return self
+
+    def _set_fit(self, singular_values: np.ndarray, vt: np.ndarray, d: int) -> None:
+        self._d = d
+        self._basis = vt.T
+        self._singular_values = singular_values
 
     def fit_transform(self, points: np.ndarray) -> np.ndarray:
         return self.fit(points).transform(points)
@@ -150,3 +149,44 @@ class PCAProjection(DimensionalityReducer):
     def _require_fitted(self) -> None:
         if self._basis is None:
             raise RuntimeError("PCAProjection must be fitted before use")
+
+
+def fit_and_project(points: np.ndarray, rank: int, approximate: bool, seeds):
+    """Fit PCA to ``m`` stacked sources and project each in place.
+
+    ``points`` is ``(m, n, d)`` and ``seeds`` holds one randomized-SVD seed
+    per source.  Returns ``(projections, projected, tail_energies)``: the
+    fitted :class:`PCAProjection` of every source, the ``(m, n, d)`` array
+    ``A -> A V Vᵀ``, and each source's discarded energy ``‖A − A V Vᵀ‖²_F``
+    — taken from the projection already computed, in the op order of
+    :meth:`PCAProjection.residual_energy`, so it equals that call exactly.
+    Slice ``i`` matches a one-source fit bit for bit (the batched SVD and the
+    stacked matmuls run the per-slice LAPACK/BLAS calls).  Inputs are
+    trusted.
+    """
+    m, n, d = points.shape
+    rank = min(rank, n, d)
+    s, vt = _principal_subspaces(points, rank, approximate, seeds)
+    projected = np.matmul(np.matmul(points, vt.transpose(0, 2, 1)), vt)
+    tails = ((points - projected) ** 2).reshape(m, -1).sum(axis=1)
+    projections = []
+    for i in range(m):
+        pca = PCAProjection(rank, approximate=approximate, seed=seeds[i])
+        pca._set_fit(s[i], vt[i], d)
+        projections.append(pca)
+    return projections, projected, tails
+
+
+def _principal_subspaces(points: np.ndarray, rank: int, approximate: bool, seeds):
+    """Top-``rank`` singular values ``(m, r)`` and right singular vectors
+    ``(m, r, d)`` of every ``(n, d)`` slice of ``points``."""
+    if approximate:
+        fits = [randomized_svd(p, rank, seed=seed)[1:] for p, seed in zip(points, seeds)]
+        return np.stack([f[0] for f in fits]), np.stack([f[1] for f in fits])
+    try:
+        _, s, vt = np.linalg.svd(points, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # Some slice did not converge: redo each with the jittered fallback.
+        fits = [safe_svd(p, full_matrices=False)[1:] for p in points]
+        s, vt = np.stack([f[0] for f in fits]), np.stack([f[1] for f in fits])
+    return s[:, :rank], vt[:, :rank]

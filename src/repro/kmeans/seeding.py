@@ -23,7 +23,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.utils.linalg import pairwise_squared_distances, squared_norms
-from repro.utils.random import SeedLike, as_generator, weighted_index_from_scores
+from repro.utils.random import (
+    SeedLike,
+    as_generator,
+    stacked_weighted_indices,
+    weighted_index_from_scores,
+)
 from repro.utils.validation import check_matrix, check_positive_int, check_weights
 
 
@@ -135,11 +140,36 @@ def d2_sampling(
     min-distance vector (maintained incrementally as centers accumulate)
     instead of having it recomputed from scratch against every center.
 
+    **Stacked form.**  ``points`` may carry a leading source axis,
+    ``(m, n, d)``: ``weights`` and ``min_squared_distances`` are then
+    ``(m, n)`` (``None`` means unit weights / no centers yet),
+    ``current_centers`` must be ``None``, and ``seed`` is a sequence of
+    ``m`` generators, row ``i`` drawing from ``seed[i]`` exactly what the
+    2-D call would.  The stacked form is the kernel-to-kernel call of
+    :func:`~repro.kmeans.bicriteria.bicriteria_approximation` and trusts its
+    inputs; the 2-D form validates them and runs as the ``m = 1`` case.
+
     Returns
     -------
     (indices, sampled_points):
-        Indices into ``points`` (with replacement) and the corresponding rows.
+        Indices into ``points`` (with replacement) and the corresponding rows
+        (with the leading source axis in the stacked form).
     """
+    if np.ndim(points) == 3:
+        if current_centers is not None:
+            raise ValueError(
+                "the stacked form takes min_squared_distances, not current_centers"
+            )
+        m, n = points.shape[:2]
+        if weights is None:
+            weights = np.ones((m, n))
+        if min_squared_distances is None:
+            scores = weights.copy()
+        else:
+            scores = weights * min_squared_distances
+        indices = _draw_from_scores(scores, weights, seed, batch_size)
+        return indices, points[np.arange(m)[:, None], indices]
+
     points = check_matrix(points, "points")
     batch_size = check_positive_int(batch_size, "batch_size")
     n = points.shape[0]
@@ -154,12 +184,23 @@ def d2_sampling(
         centers = check_matrix(current_centers, "current_centers")
         closest = pairwise_squared_distances(points, centers).min(axis=1)
         scores = weights * closest
-
-    total = scores.sum()
-    if total <= 0:
-        weight_total = weights.sum()
-        if weight_total <= 0:
-            raise ValueError("weights must contain at least one positive entry")
-        scores = weights
-    indices = weighted_index_from_scores(rng, scores, size=batch_size)
+    indices = _draw_from_scores(scores[None], weights[None], [rng], batch_size)[0]
     return indices, points[indices].copy()
+
+
+def _draw_from_scores(
+    scores: np.ndarray, weights: np.ndarray, rngs, batch_size: int
+) -> np.ndarray:
+    """The D² draw of ``(m, n)`` score rows, one generator per row.
+
+    A row with no score mass falls back to its weights, as
+    :func:`d2_sampling` always has; each row is then normalised and sampled
+    exactly as :func:`~repro.utils.random.weighted_index_from_scores` does.
+    """
+    empty = scores.sum(axis=1) <= 0
+    if empty.any():
+        if np.any(weights[empty].sum(axis=1) <= 0):
+            raise ValueError("weights must contain at least one positive entry")
+        scores[empty] = weights[empty]
+    probabilities = scores / scores.sum(axis=1, keepdims=True)
+    return stacked_weighted_indices(rngs, probabilities, batch_size)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,6 +107,23 @@ class SourceState:
         return replace(self, **changes)
 
 
+def stack_points(states: Sequence[SourceState]) -> np.ndarray:
+    """The ``(m, n, d)`` point array of same-shaped states (a view, not a
+    copy, for a single state: a one-source pipeline never copies its data)."""
+    if len(states) == 1:
+        return states[0].points[None]
+    return np.stack([state.points for state in states])
+
+
+def stack_weights(states: Sequence[SourceState]) -> np.ndarray:
+    """The ``(m, n)`` weights of same-shaped states (unit weights while a
+    state is still raw)."""
+    return np.stack([
+        np.ones(state.cardinality) if state.weights is None else state.weights
+        for state in states
+    ])
+
+
 #: Server-side inverse of a stage: maps centers from the stage's output space
 #: back to its input space.
 CenterLift = Callable[[np.ndarray], np.ndarray]
@@ -165,7 +182,21 @@ class Stage(abc.ABC):
     @abc.abstractmethod
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
         """Transform the source's working state; runs inside the timed
-        source-computation section."""
+        source-computation section.  Concrete stages implement it as the
+        ``m = 1`` case of :meth:`apply_stacked`."""
+
+    @abc.abstractmethod
+    def apply_stacked(
+        self, states: Sequence[SourceState], ctxs: Sequence[StageContext]
+    ) -> List[StageEffect]:
+        """Apply the stage to ``m`` same-shaped source states at once.
+
+        ``ctxs[i]`` is source ``i``'s context: each source derives its seeds
+        from its own generator, in the order a lone application would, so
+        effect ``i`` is bit-identical to ``apply_at_source(states[i],
+        ctxs[i])``.  The streaming engine stacks every same-shaped batch of
+        a step through this call.
+        """
 
     # ------------------------------------------------------------- caching
     def fingerprint(self) -> Tuple:

@@ -9,13 +9,21 @@ are the primitive samplers, usable on their own or after a ``PCAStage``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
-from repro.cr.fss import FSSCoreset
-from repro.cr.sensitivity import SensitivitySampler
+from repro.cr.fss import stacked_fss
+from repro.cr.sensitivity import stacked_sensitivity_sample
 from repro.cr.uniform import UniformCoreset
-from repro.stages.base import Stage, StageContext, StageEffect, SourceState
+from repro.stages.base import (
+    SourceState,
+    Stage,
+    StageContext,
+    StageEffect,
+    stack_points,
+    stack_weights,
+)
 from repro.stages.sizing import default_coreset_size, default_pca_rank
+from repro.utils.random import as_generator
 from repro.utils.validation import check_positive_int
 
 
@@ -52,31 +60,36 @@ class FSSStage(Stage):
         return ("FSS", self.size, self.pca_rank)
 
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
-        n, d = state.cardinality, state.dimension
-        size = _resolve_size(self.size, n, ctx.k)
+        return self.apply_stacked([state], [ctx])[0]
+
+    def apply_stacked(
+        self, states: Sequence[SourceState], ctxs: Sequence[StageContext]
+    ) -> List[StageEffect]:
+        n, d = states[0].cardinality, states[0].dimension
+        k = ctxs[0].k
+        size = _resolve_size(self.size, n, k)
         if self.pca_rank is not None:
             rank = min(check_positive_int(self.pca_rank, "pca_rank"), n, d)
         else:
-            rank = default_pca_rank(n, d, ctx.k)
-        fss = FSSCoreset(
-            k=ctx.k,
-            epsilon=ctx.epsilon,
-            delta=ctx.delta,
-            size=size,
-            pca_rank=rank,
-            seed=ctx.derive_seed(),
+            rank = default_pca_rank(n, d, k)
+        # The per-source FSSCoreset generator, seeded exactly as
+        # FSSCoreset(seed=ctx.derive_seed()) seeds its own.
+        rngs = [as_generator(ctx.derive_seed()) for ctx in ctxs]
+        pcas, sampled, sample_weights, tails = stacked_fss(
+            stack_points(states), stack_weights(states), rngs, k, size, rank
         )
-        built = fss.build(state.points, weights=state.weights)
-        coreset = built.coreset
-        return StageEffect(
-            state=state.evolve(
-                points=coreset.points,
-                weights=coreset.weights,
-                shift=state.shift + coreset.shift,
-                subspace=built.pca,
-            ),
-            details={"coreset_size": float(coreset.size)},
-        )
+        return [
+            StageEffect(
+                state=state.evolve(
+                    points=sampled[i],
+                    weights=sample_weights[i],
+                    shift=state.shift + float(tails[i]),
+                    subspace=pcas[i],
+                ),
+                details={"coreset_size": float(sampled.shape[1])},
+            )
+            for i, state in enumerate(states)
+        ]
 
 
 class SensitivityStage(Stage):
@@ -99,17 +112,24 @@ class SensitivityStage(Stage):
         return ("SS", self.size)
 
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
-        size = _resolve_size(self.size, state.cardinality, ctx.k)
-        sampler = SensitivitySampler(k=ctx.k, size=size, seed=ctx.derive_seed())
-        coreset = sampler.build(state.points, weights=state.weights, shift=state.shift)
-        return StageEffect(
-            state=state.evolve(
-                points=coreset.points,
-                weights=coreset.weights,
-                shift=coreset.shift,
-            ),
-            details={"coreset_size": float(coreset.size)},
+        return self.apply_stacked([state], [ctx])[0]
+
+    def apply_stacked(
+        self, states: Sequence[SourceState], ctxs: Sequence[StageContext]
+    ) -> List[StageEffect]:
+        size = _resolve_size(self.size, states[0].cardinality, ctxs[0].k)
+        # Seeded exactly as SensitivitySampler(seed=ctx.derive_seed()).
+        rngs = [as_generator(ctx.derive_seed()) for ctx in ctxs]
+        sampled, sample_weights = stacked_sensitivity_sample(
+            stack_points(states), stack_weights(states), rngs, ctxs[0].k, size
         )
+        return [
+            StageEffect(
+                state=state.evolve(points=sampled[i], weights=sample_weights[i]),
+                details={"coreset_size": float(sampled.shape[1])},
+            )
+            for i, state in enumerate(states)
+        ]
 
 
 class UniformStage(Stage):
@@ -132,14 +152,23 @@ class UniformStage(Stage):
         return ("Uniform", self.size, self.replace)
 
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
-        size = _resolve_size(self.size, state.cardinality, ctx.k)
-        sampler = UniformCoreset(size=size, seed=ctx.derive_seed(), replace=self.replace)
-        coreset = sampler.build(state.points, weights=state.weights, shift=state.shift)
-        return StageEffect(
-            state=state.evolve(
-                points=coreset.points,
-                weights=coreset.weights,
-                shift=coreset.shift,
-            ),
-            details={"coreset_size": float(coreset.size)},
-        )
+        return self.apply_stacked([state], [ctx])[0]
+
+    def apply_stacked(
+        self, states: Sequence[SourceState], ctxs: Sequence[StageContext]
+    ) -> List[StageEffect]:
+        size = _resolve_size(self.size, states[0].cardinality, ctxs[0].k)
+        effects = []
+        # Uniform sampling is one generator call per source: nothing to stack.
+        for state, ctx in zip(states, ctxs):
+            sampler = UniformCoreset(size=size, seed=ctx.derive_seed(), replace=self.replace)
+            coreset = sampler.build(state.points, weights=state.weights, shift=state.shift)
+            effects.append(StageEffect(
+                state=state.evolve(
+                    points=coreset.points,
+                    weights=coreset.weights,
+                    shift=coreset.shift,
+                ),
+                details={"coreset_size": float(coreset.size)},
+            ))
+        return effects

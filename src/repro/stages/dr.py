@@ -15,11 +15,11 @@ that dominates FSS's communication and that a subsequent JL stage removes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.dr.jl import JLProjection
-from repro.dr.pca import PCAProjection
-from repro.stages.base import Stage, StageContext, StageEffect, SourceState
+from repro.dr.pca import fit_and_project
+from repro.stages.base import SourceState, Stage, StageContext, StageEffect, stack_points
 from repro.stages.sizing import default_jl_dimension, default_pca_rank
 from repro.utils.validation import check_positive_int
 
@@ -71,16 +71,27 @@ class JLStage(Stage):
         return default_jl_dimension(reference_n, ctx.k, d, ctx.epsilon, ctx.delta)
 
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
-        d = state.dimension
-        target = self.resolve_dimension(state, ctx)
+        return self.apply_stacked([state], [ctx])[0]
+
+    def apply_stacked(
+        self, states: Sequence[SourceState], ctxs: Sequence[StageContext]
+    ) -> List[StageEffect]:
+        # One shared map for every source: a single stacked matmul projects
+        # them all (each slice is the 2-D product a lone source computes).
+        d = states[0].dimension
+        target = self.resolve_dimension(states[0], ctxs[0])
         projection = JLProjection(d, target, seed=self.shared_seed, ensemble=self.ensemble)
-        projected = projection.transform(state.points)
-        return StageEffect(
-            # The projection moves the points out of any recorded subspace.
-            state=state.evolve(points=projected, subspace=None),
-            lift=self.rebuild_lift(d, target),
-            details={"jl_dimension": float(target)},
-        )
+        projected = projection.transform(stack_points(states))
+        lift = self.rebuild_lift(d, target)
+        return [
+            StageEffect(
+                # The projection moves the points out of any recorded subspace.
+                state=state.evolve(points=points, subspace=None),
+                lift=lift,
+                details={"jl_dimension": float(target)},
+            )
+            for state, points in zip(states, projected)
+        ]
 
 
 class PCAStage(Stage):
@@ -110,16 +121,24 @@ class PCAStage(Stage):
         return default_pca_rank(n, d, ctx.k)
 
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
-        rank = self.resolve_rank(state, ctx)
-        pca = PCAProjection(rank=rank, approximate=self.approximate, seed=ctx.derive_seed())
-        pca.fit(state.points)
-        projected = pca.project_in_place(state.points)
-        tail_energy = pca.residual_energy(state.points)
-        return StageEffect(
-            state=state.evolve(
-                points=projected,
-                shift=state.shift + tail_energy,
-                subspace=pca,
-            ),
-            details={"pca_rank": float(pca.effective_rank)},
+        return self.apply_stacked([state], [ctx])[0]
+
+    def apply_stacked(
+        self, states: Sequence[SourceState], ctxs: Sequence[StageContext]
+    ) -> List[StageEffect]:
+        rank = self.resolve_rank(states[0], ctxs[0])
+        seeds = [ctx.derive_seed() for ctx in ctxs]
+        pcas, projected, tails = fit_and_project(
+            stack_points(states), rank, self.approximate, seeds
         )
+        return [
+            StageEffect(
+                state=state.evolve(
+                    points=points,
+                    shift=state.shift + float(tail),
+                    subspace=pca,
+                ),
+                details={"pca_rank": float(pca.effective_rank)},
+            )
+            for state, pca, points, tail in zip(states, pcas, projected, tails)
+        ]

@@ -12,7 +12,7 @@ argument is sugar for appending this stage.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import List, Sequence, Union
 
 from repro.quantization.rounding import RoundingQuantizer
 from repro.stages.base import Stage, StageContext, StageEffect, SourceState
@@ -42,7 +42,16 @@ class QuantizeStage(Stage):
         return ("QT", self.quantizer.significant_bits)
 
     def apply_at_source(self, state: SourceState, ctx: StageContext) -> StageEffect:
-        return StageEffect(
-            state=state.evolve(wire_quantizer=self.quantizer),
-            details={"quantizer_bits": float(self.quantizer.significant_bits)},
-        )
+        return self.apply_stacked([state], [ctx])[0]
+
+    def apply_stacked(
+        self, states: Sequence[SourceState], ctxs: Sequence[StageContext]
+    ) -> List[StageEffect]:
+        bits = float(self.quantizer.significant_bits)
+        return [
+            StageEffect(
+                state=state.evolve(wire_quantizer=self.quantizer),
+                details={"quantizer_bits": bits},
+            )
+            for state in states
+        ]

@@ -19,12 +19,26 @@ timestamped batch it
    bucket ids as one scalar each.  Re-transmitting a merged bucket replaces
    the buckets it subsumes, so the server's view stays consistent while the
    per-batch uplink stays amortized ``O(coreset_size)``.
+
+Stacked step: the streaming engine does not compress one source at a time.
+:func:`compress_stacked` takes every same-shaped batch of a step as one
+``(m, b, d)`` array, runs each stage once over the stack
+(:meth:`~repro.stages.base.Stage.apply_stacked`), and cascades all the
+sources' trees level by level together, re-reducing each level's merges in
+one stacked call (:func:`~repro.streaming.tree.insert_stacked`).
+
+* **m = 1 rule.**  :meth:`StreamingSource.compress` — what ``ingest`` and the
+  ``repro serve`` client run — is ``compress_stacked`` with one source.
+* **Parity contract.**  Each source draws only from its own generator, in
+  the order a lone ``compress`` would, and every stacked kernel equals its
+  per-slice calls bit for bit, so a source's tree, and every bucket it
+  ships, is identical whichever sources it was stacked with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +46,7 @@ from repro.cr.coreset import Coreset
 from repro.distributed.conditions import DeliveryError
 from repro.distributed.network import SimulatedNetwork
 from repro.stages.base import CenterLift, SourceState, Stage, StageContext
-from repro.streaming.tree import Bucket, CoresetTree
+from repro.streaming.tree import Bucket, CoresetTree, insert_stacked
 from repro.utils.clock import perf_counter
 
 
@@ -120,34 +134,9 @@ class StreamingSource:
         this source's stage context / generator), so the engine may run the
         ``compress`` steps of all sources in parallel; the network delta is
         shipped afterwards by :meth:`flush`, serially, in source order.
+        The ``m = 1`` case of :func:`compress_stacked`.
         """
-        start = perf_counter()
-        state = SourceState(points=np.asarray(batch, dtype=float))
-        lifts: List[CenterLift] = []
-        for stage in self.stages:
-            effect = stage.apply_at_source(state, self.ctx)
-            state = effect.state
-            if effect.lift is not None:
-                lifts.append(effect.lift)
-        if state.weights is None:
-            raise RuntimeError(
-                "streaming requires a CR stage in the composition: the batch "
-                "state still has no coreset weights after all stages"
-            )
-        if self.lifts is None:
-            # DR maps are fixed for the whole stream (shared handshake seeds,
-            # pinned dimensions), so the lift chain of the first batch is the
-            # lift chain of every batch.
-            self.lifts = lifts
-        leaf = Coreset(state.points, state.weights, state.shift)
-        self.tree.insert(leaf, batch_index)
-        self.tree.expire(batch_index)
-        self.compute_seconds += perf_counter() - start
-        self.batches_ingested += 1
-
-        self._pending_quantizer = state.wire_quantizer
-        if state.wire_quantizer is not None:
-            self.quantizer_bits = int(state.wire_quantizer.significant_bits)
+        compress_stacked([self], np.asarray(batch, dtype=float)[None], batch_index)
 
     def flush(self, batch_index: int) -> SourceUpdate:
         """The transmit half of :meth:`ingest`: uplink the bucket delta."""
@@ -209,11 +198,7 @@ class StreamingSource:
     # ------------------------------------------------------------ internals
     def _reduce(self, coreset: Coreset) -> Coreset:
         """Re-compress a merged bucket with the composition's CR stage."""
-        state = SourceState(
-            points=coreset.points, weights=coreset.weights, shift=coreset.shift
-        )
-        state = self.reduce_stage.apply_at_source(state, self.ctx).state
-        return Coreset(state.points, state.weights, state.shift)
+        return _reduce_stacked(self.reduce_stage, [self.ctx], [coreset])[0]
 
     def _transmit_delta(self, batch_index: int, quantizer) -> SourceUpdate:
         """Ship exactly the difference between server view and live buckets.
@@ -287,3 +272,81 @@ class StreamingSource:
             Coreset(quantizer.quantize(coreset.points), coreset.weights, coreset.shift),
             int(quantizer.significant_bits),
         )
+
+
+def compress_stacked(
+    sources: Sequence[StreamingSource], batches: np.ndarray, batch_index: int
+) -> None:
+    """:meth:`StreamingSource.compress` for ``m`` sources at once.
+
+    ``batches`` is the ``(m, b, d)`` stack of the step's same-shaped batches
+    (``sources`` share one stage composition).  Every stage runs once over
+    the stack (:meth:`~repro.stages.base.Stage.apply_stacked`), then the
+    trees cascade level by level together, each pass re-reducing every
+    tree's pending merge in one stacked call.  Each source still draws from
+    its own generator in its own order, so every tree ends bit-identical to
+    a one-source ``compress``, which is the ``m = 1`` case.  The step's wall
+    time is shared evenly among the sources' ``compute_seconds``.
+    """
+    start = perf_counter()
+    ctxs = [source.ctx for source in sources]
+    states = [SourceState(points=batch) for batch in batches]
+    lifts: List[CenterLift] = []
+    for stage in sources[0].stages:
+        effects = stage.apply_stacked(states, ctxs)
+        states = [effect.state for effect in effects]
+        if effects[0].lift is not None:
+            lifts.append(effects[0].lift)
+    if states[0].weights is None:
+        raise RuntimeError(
+            "streaming requires a CR stage in the composition: the batch "
+            "state still has no coreset weights after all stages"
+        )
+    reduce_stage = sources[0].reduce_stage
+
+    def reduce_many(indices: List[int], merged: List[Coreset]) -> List[Coreset]:
+        return _reduce_stacked(reduce_stage, [ctxs[i] for i in indices], merged)
+
+    insert_stacked(
+        [source.tree for source in sources],
+        [Coreset(state.points, state.weights, state.shift) for state in states],
+        batch_index,
+        reduce_many,
+    )
+    share = (perf_counter() - start) / len(sources)
+    quantizer = states[0].wire_quantizer
+    for source in sources:
+        if source.lifts is None:
+            # DR maps are fixed for the whole stream (shared handshake seeds,
+            # pinned dimensions), so the lift chain of the first batch is the
+            # lift chain of every batch.
+            source.lifts = lifts
+        source.tree.expire(batch_index)
+        source.compute_seconds += share
+        source.batches_ingested += 1
+        source._pending_quantizer = quantizer
+        if quantizer is not None:
+            source.quantizer_bits = int(quantizer.significant_bits)
+
+
+def _reduce_stacked(
+    reduce_stage: Stage, ctxs: Sequence[StageContext], merged: Sequence[Coreset]
+) -> List[Coreset]:
+    """Re-compress merged buckets with the CR stage, one stacked call per
+    distinct bucket shape (results in input order)."""
+    reduced: List[Optional[Coreset]] = [None] * len(merged)
+    shapes: Dict[Tuple[int, int], List[int]] = {}
+    for i, coreset in enumerate(merged):
+        shapes.setdefault(coreset.points.shape, []).append(i)
+    for members in shapes.values():
+        states = [
+            SourceState(
+                points=merged[i].points, weights=merged[i].weights, shift=merged[i].shift
+            )
+            for i in members
+        ]
+        effects = reduce_stage.apply_stacked(states, [ctxs[i] for i in members])
+        for i, effect in zip(members, effects):
+            state = effect.state
+            reduced[i] = Coreset(state.points, state.weights, state.shift)
+    return reduced

@@ -27,7 +27,7 @@ every bucket fully expires at most ``W`` steps after its newest batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from repro.cr.coreset import Coreset, merge_coresets
 from repro.utils.validation import check_positive_int
@@ -134,19 +134,13 @@ class CoresetTree:
         before, ids alive before that are gone) — intermediate buckets
         created and consumed within one cascade never appear, which is what
         makes the delta directly transmittable as an incremental summary.
+        The ``m = 1`` case of :func:`insert_stacked`.
         """
-        before = set(self._buckets)
-        leaf = Bucket(
-            bucket_id=self._allocate_id(),
-            level=0,
-            coreset=coreset,
-            first_batch=int(batch_index),
-            last_batch=int(batch_index),
-        )
-        self._buckets[leaf.bucket_id] = leaf
-        self._cascade(leaf.level)
-        self._track_peaks()
-        return self._delta_since(before)
+        reduce = self._reduce
+        return insert_stacked(
+            [self], [coreset], batch_index,
+            lambda _, merged: [reduce(c) for c in merged],
+        )[0]
 
     def expire(self, current_batch: int) -> List[int]:
         """Drop buckets whose whole range left the window; return their ids.
@@ -232,7 +226,21 @@ class CoresetTree:
             key=lambda b: b.first_batch,
         )
 
-    def _cascade(self, level: int) -> None:
+    def _add_leaf(self, coreset: Coreset, batch_index: int) -> Bucket:
+        leaf = Bucket(
+            bucket_id=self._allocate_id(),
+            level=0,
+            coreset=coreset,
+            first_batch=int(batch_index),
+            last_batch=int(batch_index),
+        )
+        self._buckets[leaf.bucket_id] = leaf
+        return leaf
+
+    def _cascade(self, level: int) -> Generator[Coreset, Coreset, None]:
+        """Merge upward from ``level``: yields each merged pair's union and
+        takes back its reduction, so a caller can reduce the merges of many
+        trees together."""
         # Invariant: every level holds at most one unfrozen bucket between
         # insertions, so each merge can only overflow the next level up.
         while True:
@@ -246,8 +254,7 @@ class CoresetTree:
                 # the window — freeze it until it expires.
                 older.frozen = True
                 continue
-            merged = older.coreset.merged_with(newer.coreset)
-            reduced = self._reduce(merged)
+            reduced = yield older.coreset.merged_with(newer.coreset)
             del self._buckets[older.bucket_id]
             del self._buckets[newer.bucket_id]
             parent = Bucket(
@@ -271,3 +278,46 @@ class CoresetTree:
     def _track_peaks(self) -> None:
         self.max_live_buckets = max(self.max_live_buckets, len(self._buckets))
         self.max_resident_points = max(self.max_resident_points, self.resident_points)
+
+
+def insert_stacked(
+    trees: Sequence[CoresetTree],
+    coresets: Sequence[Coreset],
+    batch_index: int,
+    reduce_many: Callable[[List[int], List[Coreset]], List[Coreset]],
+) -> List[TreeDelta]:
+    """Insert one leaf into each of ``trees`` and run their cascades level
+    by level together.
+
+    Each pass collects the next pending merge of every tree still cascading
+    and hands them to ``reduce_many(tree_indices, merged)`` in one call, so
+    the re-reduces of all trees can run as one stacked kernel.  Every tree
+    sees exactly the merges, in exactly the order, its own
+    :meth:`CoresetTree.insert` would run.  Returns each tree's net delta.
+    """
+    befores = [set(tree._buckets) for tree in trees]
+    cascades = [
+        tree._cascade(tree._add_leaf(coreset, batch_index).level)
+        for tree, coreset in zip(trees, coresets)
+    ]
+    pending = _advance(cascades, {i: None for i in range(len(trees))})
+    while pending:
+        indices = sorted(pending)
+        reduced = reduce_many(indices, [pending[i] for i in indices])
+        pending = _advance(cascades, dict(zip(indices, reduced)))
+    deltas = []
+    for tree, before in zip(trees, befores):
+        tree._track_peaks()
+        deltas.append(tree._delta_since(before))
+    return deltas
+
+
+def _advance(cascades, replies) -> Dict[int, Coreset]:
+    """Send each cascade its reply; returns the next merge each yields."""
+    pending = {}
+    for i, reply in replies.items():
+        try:
+            pending[i] = cascades[i].send(reply)
+        except StopIteration:
+            pass
+    return pending

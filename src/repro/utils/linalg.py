@@ -85,6 +85,30 @@ def pairwise_squared_distances(
     return out
 
 
+def stacked_squared_distances(
+    a: np.ndarray,
+    b: np.ndarray,
+    a_squared_norms: np.ndarray,
+    b_squared_norms: np.ndarray,
+) -> np.ndarray:
+    """:func:`pairwise_squared_distances` for ``m`` independent problems.
+
+    ``a`` is ``(m, n, d)`` and ``b`` is ``(m, c, d)``; returns ``(m, n, c)``.
+    One stacked ``matmul`` runs the same per-slice BLAS call as the 2-D
+    kernel (numpy dispatches each slice separately: gemm, or gemv for a
+    single column), and the elementwise tail is the same op sequence, so
+    slice ``i`` equals ``pairwise_squared_distances(a[i], b[i])`` bit for
+    bit.  The norms are passed in: callers compute them once per point set
+    with :func:`squared_norms`, whose rows do not depend on their neighbours.
+    """
+    out = np.matmul(a, b.transpose(0, 2, 1))
+    out *= -2.0
+    out += a_squared_norms[:, :, None]
+    out += b_squared_norms[:, None, :]
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
 def safe_svd(matrix: np.ndarray, full_matrices: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD with a fallback for the rare LAPACK non-convergence case.
 

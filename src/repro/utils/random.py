@@ -11,7 +11,7 @@ seeds of every JL projection, sampler, and solver it spawns via
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,10 +33,8 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    if seed is None or isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(seed)
+    if seed is None or isinstance(seed, (int, np.integer, np.random.SeedSequence)):
+        return _new_generator(seed)
     raise TypeError(
         f"seed must be None, int, SeedSequence or Generator, got {type(seed)!r}"
     )
@@ -54,9 +52,17 @@ def spawn_generators(seed: SeedLike, count: int) -> List[np.random.Generator]:
     if isinstance(seed, np.random.Generator):
         # Derive children by drawing fresh seed material from the generator.
         seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
+        return [_new_generator(int(s)) for s in seeds]
     sequence = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
+    return [_new_generator(child) for child in sequence.spawn(count)]
+
+
+def _new_generator(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for an int, ``SeedSequence`` or
+    ``None``: the same PCG64 stream, without ``default_rng``'s dispatch
+    (which costs a quarter of the construction on the per-batch samplers'
+    hot path)."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def derive_seed(rng: np.random.Generator) -> int:
@@ -97,35 +103,23 @@ def weighted_indices(
 
     Drop-in replacement for ``rng.choice(n, p=probabilities[, size=size])``
     with replacement: one cumulative sum builds the CDF, then each draw is a
-    single uniform plus an ``O(log n)`` :func:`numpy.searchsorted` lookup —
-    skipping ``Generator.choice``'s per-call probability re-validation, which
-    dominates when the hot samplers draw repeatedly from short-lived score
-    vectors (k-means++, D²-sampling, sensitivity sampling).
+    single uniform looked up in it — skipping ``Generator.choice``'s
+    per-call probability re-validation, which dominates when the hot
+    samplers draw repeatedly from short-lived score vectors (k-means++,
+    D²-sampling, sensitivity sampling).
 
     The draw sequence is bit-identical to ``Generator.choice`` (which uses
     the same inverse-CDF construction internally), so swapping the samplers
-    does not perturb any seeded experiment.
+    does not perturb any seeded experiment.  This is the one-row case of
+    :func:`stacked_weighted_indices`.
 
     Returns a python ``int`` when ``size`` is ``None``, else an ``int64``
     array of ``size`` indices (sampled with replacement).
     """
-    probabilities = np.asarray(probabilities)
-    if np.any(probabilities < 0):
-        # choice() validated this; a negative entry would make the CDF
-        # non-monotonic and the binary search silently wrong.
-        raise ValueError("probabilities must be non-negative")
-    # Accumulate in float64 regardless of input dtype (choice() casts p the
-    # same way); also keeps the in-place normalization below well-typed for
-    # integer score vectors.
-    cdf = np.cumsum(probabilities, dtype=np.float64)
-    total = cdf[-1]
-    if not np.isfinite(total) or total <= 0:
-        raise ValueError("probabilities must contain positive mass")
-    cdf /= total
-    if size is None:
-        return int(cdf.searchsorted(rng.random(), side="right"))
-    idx = cdf.searchsorted(rng.random(int(size)), side="right")
-    return np.asarray(idx, dtype=np.int64)
+    draws = stacked_weighted_indices(
+        [rng], np.asarray(probabilities)[None], 1 if size is None else size
+    )[0]
+    return int(draws[0]) if size is None else draws
 
 
 def weighted_index_from_scores(
@@ -145,6 +139,48 @@ def weighted_index_from_scores(
     probabilities = np.asarray(scores, dtype=float)
     probabilities = probabilities / probabilities.sum()
     return weighted_indices(rng, probabilities, size=size)
+
+
+def stacked_weighted_indices(
+    rngs: Sequence[np.random.Generator], probabilities: np.ndarray, size: int
+) -> np.ndarray:
+    """:func:`weighted_indices` for ``m`` probability rows at once.
+
+    Row ``i`` of the ``(m, n)`` input draws ``size`` indices (with
+    replacement) from ``rngs[i]``, with one ``random(size)`` call.  The
+    inverse-CDF lookup is the count ``(cdf <= u).sum()``, which equals
+    ``searchsorted(u, side="right")`` on the non-decreasing CDF, so each
+    row's draws do not depend on the other rows.  Returns an ``(m, size)``
+    ``int64`` array.
+    """
+    probabilities = np.asarray(probabilities)
+    if np.any(probabilities < 0):
+        # choice() validated this; a negative entry would make the CDF
+        # non-monotonic and the lookup silently wrong.
+        raise ValueError("probabilities must be non-negative")
+    # Accumulate in float64 regardless of input dtype (choice() casts p the
+    # same way); also keeps the in-place normalization below well-typed for
+    # integer score vectors.
+    cdf = np.cumsum(probabilities, axis=1, dtype=np.float64)
+    total = cdf[:, -1:]
+    if total.size == 0 or not np.all(np.isfinite(total)) or np.any(total <= 0):
+        raise ValueError("probabilities must contain positive mass")
+    cdf /= total
+    size = int(size)
+    draws = np.stack([rng.random(size) for rng in rngs])
+    m, n = cdf.shape
+    out = np.empty((m, size), dtype=np.int64)
+    # The count materialises an (m, draws, n) comparison: chunk the draws so
+    # a large one-source call stays within a few MB.
+    step = max(1, _COUNT_CELLS // max(1, m * n))
+    for lo in range(0, size, step):
+        chunk = draws[:, lo:lo + step, None]
+        np.sum(cdf[:, None, :] <= chunk, axis=2, out=out[:, lo:lo + step])
+    return out
+
+
+#: Comparison cells per chunk of :func:`stacked_weighted_indices`' lookup.
+_COUNT_CELLS = 1 << 22
 
 
 def permutation_chunks(

@@ -13,6 +13,8 @@ Three contracts are pinned here:
    labels and cost as the plain loop on separated synthetic data.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,210 @@ class TestIncrementalBicriteria:
         labels, d2 = assign_to_centers(points, result.centers)
         np.testing.assert_array_equal(result.labels, labels)
         np.testing.assert_array_equal(result.squared_distances, d2)
+
+
+def stacked_sources(m=7, n=32, d=5, seed=0, duplicates=(), zero_weights=()):
+    """``m`` sources of ``n`` points: source ``i`` in ``duplicates`` holds
+    only two distinct points (its residual cost reaches zero), one in
+    ``zero_weights`` has half its rows at weight zero."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((m, n, d)) * 3.0
+    weights = rng.random((m, n)) + 0.1
+    for i in duplicates:
+        points[i] = points[i, rng.integers(0, 2, size=n)]
+    for i in zero_weights:
+        weights[i, ::2] = 0.0
+    return points, weights
+
+
+def generators(seed, m):
+    return [np.random.default_rng([seed, i]) for i in range(m)]
+
+
+def assert_bicriteria_equal(a, b):
+    np.testing.assert_array_equal(a.centers, b.centers)
+    assert a.cost == b.cost
+    np.testing.assert_array_equal(a.labels, b.labels)
+    np.testing.assert_array_equal(a.squared_distances, b.squared_distances)
+    assert a.rounds == b.rounds
+
+
+class TestStackedKernels:
+    """A leading source axis runs m sources in one call; every source's
+    result must equal its own one-source call bit for bit."""
+
+    def test_d2_sampling_rows_match(self):
+        points, weights = stacked_sources(zero_weights=(2,))
+        closest = np.random.default_rng(1).random(weights.shape)
+        closest[4] = 0.0  # no score mass: falls back to the weights
+        for min_d2 in (None, closest):
+            stacked, sampled = d2_sampling(
+                points, None, 9, weights=weights, seed=generators(3, 7),
+                min_squared_distances=min_d2,
+            )
+            for i, rng in enumerate(generators(3, 7)):
+                row, row_points = d2_sampling(
+                    points[i], None, 9, weights=weights[i], seed=rng,
+                    min_squared_distances=None if min_d2 is None else min_d2[i],
+                )
+                np.testing.assert_array_equal(stacked[i], row)
+                np.testing.assert_array_equal(sampled[i], row_points)
+
+    def test_stacked_d2_sampling_rejects_current_centers(self):
+        points, weights = stacked_sources(m=2)
+        with pytest.raises(ValueError, match="min_squared_distances"):
+            d2_sampling(points, points[0, :2], 3, weights=weights, seed=generators(0, 2))
+
+    @pytest.mark.parametrize("k, batch_factor", [(3, 3), (1, 1), (2, 1)])
+    def test_bicriteria_rows_match(self, k, batch_factor):
+        """``batch_factor * k = 1`` draws one point a round, so every round
+        that grows the set adds exactly one fresh center (the gemv-shaped
+        distance update); the duplicate sources stop early on a zero
+        residual while the others keep sampling."""
+        points, weights = stacked_sources(duplicates=(1, 5), zero_weights=(3,))
+        stacked = bicriteria_approximation(
+            points, k, weights=weights, batch_factor=batch_factor,
+            seed=generators(5, 7),
+        )
+        assert stacked[1].cost == 0.0 and stacked[5].cost == 0.0
+        for i, rng in enumerate(generators(5, 7)):
+            row = bicriteria_approximation(
+                points[i], k, weights=weights[i], batch_factor=batch_factor, seed=rng
+            )
+            assert_bicriteria_equal(stacked[i], row)
+
+    def test_sensitivity_build_rows_match(self):
+        from repro.cr.sensitivity import SensitivitySampler, stacked_sensitivity_sample
+
+        points, weights = stacked_sources(duplicates=(0,), zero_weights=(6,))
+        sampled, sample_weights = stacked_sensitivity_sample(
+            points, weights, generators(7, 7), k=3, size=20
+        )
+        for i, rng in enumerate(generators(7, 7)):
+            coreset = SensitivitySampler(3, 20, seed=rng).build(points[i], weights[i])
+            np.testing.assert_array_equal(sampled[i], coreset.points)
+            np.testing.assert_array_equal(sample_weights[i], coreset.weights)
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_fss_build_rows_match(self, rank):
+        from repro.cr.fss import FSSCoreset, stacked_fss
+
+        points, weights = stacked_sources(duplicates=(2,), zero_weights=(4,))
+        pcas, sampled, sample_weights, tails = stacked_fss(
+            points, weights, generators(9, 7), k=3, size=16, rank=rank
+        )
+        for i, rng in enumerate(generators(9, 7)):
+            built = FSSCoreset(3, size=16, pca_rank=rank, seed=rng).build(
+                points[i], weights[i]
+            )
+            np.testing.assert_array_equal(sampled[i], built.coreset.points)
+            np.testing.assert_array_equal(sample_weights[i], built.coreset.weights)
+            assert tails[i] == built.coreset.shift
+            np.testing.assert_array_equal(pcas[i].basis, built.pca.basis)
+
+    def test_stream_steps_match_one_source_at_a_time(self, monkeypatch):
+        """Uneven shards put several batch shapes in one step; stacking
+        each shape group must equal compressing every source alone."""
+        from repro.core.streaming import StreamingEngine
+        from repro.stages.cr import FSSStage
+
+        rng = np.random.default_rng(4)
+        shards = [rng.standard_normal((size, 4)) for size in (40, 23, 16, 57, 9)]
+
+        def run():
+            return StreamingEngine(
+                [FSSStage(size=6)], k=2, batch_size=8, query_every=1, seed=3,
+                server_n_init=1, server_max_iterations=10,
+            ).run(shards)
+
+        stacked = run()
+        original = StreamingEngine._stacked_chunks
+
+        def one_source_chunks(self, sources, arrivals):
+            return [
+                ([source], batch[None])
+                for sources_chunk, batches in original(self, sources, arrivals)
+                for source, batch in zip(sources_chunk, batches)
+            ]
+
+        monkeypatch.setattr(StreamingEngine, "_stacked_chunks", one_source_chunks)
+        alone = run()
+        assert len(stacked.queries) == len(alone.queries)
+        for a, b in zip(stacked.queries, alone.queries):
+            np.testing.assert_array_equal(a.centers, b.centers)
+            assert (a.summary_cardinality, a.bits) == (b.summary_cardinality, b.bits)
+
+
+class TestValidationBoundary:
+    """Kernel-to-kernel calls no longer re-validate, so every public entry
+    point must still reject bad input itself, with the same message."""
+
+    ENTRY_POINTS = {
+        "bicriteria": lambda p, w: bicriteria_approximation(p, 2, weights=w, seed=0),
+        "d2_sampling": lambda p, w: d2_sampling(p, None, 3, weights=w, seed=0),
+        "sensitivity_build": lambda p, w: _sampler().build(p, w),
+        "sensitivity_scores": lambda p, w: _sampler().compute_sensitivities(p, w),
+        "fss_build": lambda p, w: _fss().build(p, w),
+        "coreset": lambda p, w: _coreset(p, w),
+    }
+
+    BAD_INPUTS = {
+        "nan-point": (lambda p, w: (_with(p, np.nan), w), "points contains NaN or infinite values"),
+        "inf-point": (lambda p, w: (_with(p, np.inf), w), "points contains NaN or infinite values"),
+        "negative-weight": (lambda p, w: (p, _with(w, -1.0)), "weights must be non-negative"),
+        "nan-weight": (lambda p, w: (p, _with(w, np.nan)), "weights contains NaN or infinite values"),
+        "short-weights": (lambda p, w: (p, w[:-1]), "weights must have length 10, got 9"),
+        "4-d-points": (lambda p, w: (p[None, None], w), "points must be a 2-D array, got ndim=4"),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_bad_input_raises_same_message(self, entry, bad):
+        make, message = self.BAD_INPUTS[bad]
+        rng = np.random.default_rng(0)
+        points, weights = make(rng.standard_normal((10, 3)), rng.random(10) + 0.5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.ENTRY_POINTS[entry](points, weights)
+
+    @pytest.mark.parametrize("bad", ["nan-point", "inf-point", "4-d-points"])
+    def test_pca_fit_rejects_bad_points(self, bad):
+        from repro.dr.pca import PCAProjection
+
+        make, message = self.BAD_INPUTS[bad]
+        points, _ = make(np.random.default_rng(0).standard_normal((10, 3)), None)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PCAProjection(2).fit(points)
+
+    def test_fss_shift_is_the_pca_residual_energy(self):
+        """FSS takes Δ from the projection it already computed; it must
+        equal the public residual-energy call exactly."""
+        points, _ = stacked_sources(m=1, n=40, d=6)
+        built = _fss().build(points[0])
+        assert built.coreset.shift == built.pca.residual_energy(points[0])
+
+
+def _with(array, value):
+    array = np.array(array, dtype=float)
+    array.flat[3] = value
+    return array
+
+
+def _sampler():
+    from repro.cr.sensitivity import SensitivitySampler
+
+    return SensitivitySampler(2, 5, seed=0)
+
+
+def _fss():
+    from repro.cr.fss import FSSCoreset
+
+    return FSSCoreset(2, size=5, pca_rank=2, seed=0)
+
+
+def _coreset(points, weights):
+    from repro.cr.coreset import Coreset
+
+    return Coreset(points, weights)
 
 
 HAMERLY_DATASETS = [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.cr.coreset import Coreset
+from repro.cr.coreset import Coreset, merge_coresets
 from repro.distributed.network import _count_scalars
 from repro.distributed.partition import partition_dataset
 from repro.dr.jl import JLProjection
@@ -360,3 +360,50 @@ class TestCoresetProperties:
         merged = a.merged_with(b)
         assert merged.total_weight == pytest.approx(a.total_weight + b.total_weight)
         assert merged.size == a.size + b.size
+
+
+@st.composite
+def coreset_lists(draw, max_coresets=40, max_rows=5, max_cols=4):
+    """1-40 coresets of one dimension; empty ones (zero rows) included."""
+    d = draw(st.integers(min_value=1, max_value=max_cols))
+    count = draw(st.integers(min_value=1, max_value=max_coresets))
+    coresets = []
+    for _ in range(count):
+        rows = draw(st.integers(min_value=0, max_value=max_rows))
+        points = draw(hnp.arrays(float, (rows, d), elements=finite_floats))
+        weights = draw(hnp.arrays(
+            float, rows, elements=st.floats(min_value=0.0, max_value=1e6)
+        ))
+        shift = draw(st.floats(min_value=0.0, max_value=1e6))
+        coresets.append(Coreset(points, weights, shift))
+    return coresets
+
+
+class TestMergeCoresetsProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(coreset_lists())
+    def test_equals_pairwise_fold_bitwise(self, coresets):
+        """One concatenation is the left fold of merged_with, bit for bit."""
+        merged = merge_coresets(coresets)
+        folded = coresets[0]
+        for coreset in coresets[1:]:
+            folded = folded.merged_with(coreset)
+        np.testing.assert_array_equal(merged.points, folded.points)
+        assert merged.points.shape == folded.points.shape
+        np.testing.assert_array_equal(merged.weights, folded.weights)
+        assert merged.shift == folded.shift
+
+    @settings(max_examples=40, deadline=None)
+    @given(coreset_lists(max_coresets=10), st.data())
+    def test_dimension_mismatch_raises_like_pairwise_fold(self, coresets, data):
+        d = coresets[0].dimension
+        odd = Coreset(np.zeros((1, d + 1)), np.ones(1))
+        position = data.draw(st.integers(min_value=1, max_value=len(coresets)))
+        mixed = coresets[:position] + [odd] + coresets[position:]
+        with pytest.raises(ValueError) as merged_error:
+            merge_coresets(mixed)
+        with pytest.raises(ValueError) as folded_error:
+            folded = mixed[0]
+            for coreset in mixed[1:]:
+                folded = folded.merged_with(coreset)
+        assert str(merged_error.value) == str(folded_error.value)
